@@ -141,13 +141,14 @@ int main() {
   }
   const layout::Layout chip(geom::Rect::from_xywh(0, 0, 4800, 4800),
                             std::move(shapes));
+  const layout::FlatSource source(chip);
   hotspot::CnnDetector detector(scan_detector_config());
   const hotspot::ChipScanner scanner(hotspot::ScanConfig{1200, 600});
   set_num_threads(1);
-  const hotspot::ScanReport serial_report = scanner.scan(chip, detector);
+  const hotspot::ScanReport serial_report = scanner.scan(source, detector);
   const double scan_1t = serial_report.scan_seconds;
   set_num_threads(0);
-  const hotspot::ScanReport parallel_report = scanner.scan(chip, detector);
+  const hotspot::ScanReport parallel_report = scanner.scan(source, detector);
   const double scan_nt = parallel_report.scan_seconds;
   std::printf("  scan %zu windows: 1t %.3f s  %zut %.3f s (%.2fx)\n",
               serial_report.windows_scanned, scan_1t, host_threads, scan_nt,

@@ -65,7 +65,7 @@ int main() {
               chip.density());
 
   hotspot::ChipScanner scanner(hotspot::ScanConfig{1200, 1200});
-  hotspot::ScanReport report = scanner.scan(chip, detector);
+  hotspot::ScanReport report = scanner.scan(layout::FlatSource(chip), detector);
   std::printf("\nscanned %zu windows in %.2f s -> %zu flagged (%.0f%%)\n",
               report.windows_scanned, report.scan_seconds,
               report.hits.size(), 100.0 * report.flagged_fraction());

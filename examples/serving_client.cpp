@@ -67,11 +67,11 @@ int run_burst(const std::string& host, std::uint16_t port,
     reconnects += retry.reconnects;
   }
   std::printf("burst: %zu requests x %zu clips ok (%llu retries, %llu "
-              "reconnects, v%u%s)\n",
+              "reconnects%s)\n",
               requests, clips_per_request,
               static_cast<unsigned long long>(retries),
               static_cast<unsigned long long>(reconnects),
-              client.negotiated_version(), sample ? ", sampled" : "");
+              sample ? ", sampled" : "");
   if (stats) {
     // Strict parse: a malformed stats document is a bug, not a warning.
     const json::Value doc = json::parse(client.stats_json());

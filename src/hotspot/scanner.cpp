@@ -408,20 +408,4 @@ ScanReport ChipScanner::scan_sharded(const layout::LayoutSource& source,
   return report;
 }
 
-ScanReport ChipScanner::scan(const layout::Layout& chip,
-                             const Detector& detector) const {
-  return scan(layout::FlatSource(chip), detector);
-}
-
-ScanReport ChipScanner::scan(const layout::Layout& chip,
-                             InferenceEngine& engine) const {
-  return scan(layout::FlatSource(chip), engine);
-}
-
-ScanReport ChipScanner::scan_resumable(const layout::Layout& chip,
-                                       InferenceEngine& engine,
-                                       const std::string& journal_path) const {
-  return scan_resumable(layout::FlatSource(chip), engine, journal_path);
-}
-
 }  // namespace hsdl::hotspot

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "hotspot/detector.hpp"
-#include "layout/layout.hpp"
 #include "layout/layout_source.hpp"
 
 namespace hsdl::hotspot {
@@ -135,14 +134,6 @@ class ChipScanner {
   ScanReport scan_sharded(const layout::LayoutSource& source,
                           const CnnDetector& detector, std::size_t shards,
                           CellScanCache* cache = nullptr) const;
-
-  /// Thin adapters over the flat Layout model (wraps the chip in a
-  /// FlatSource; same semantics as the LayoutSource overloads).
-  ScanReport scan(const layout::Layout& chip, const Detector& detector) const;
-  ScanReport scan(const layout::Layout& chip, InferenceEngine& engine) const;
-  ScanReport scan_resumable(const layout::Layout& chip,
-                            InferenceEngine& engine,
-                            const std::string& journal_path) const;
 
  private:
   ScanConfig config_;

@@ -1,10 +1,12 @@
 #include "layout/gds_stream.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <limits>
 #include <set>
+#include <sstream>
 #include <unordered_map>
 #include <vector>
 
@@ -13,28 +15,10 @@
 #include "geom/polygon.hpp"
 
 namespace hsdl::layout {
-namespace {
 
-// Record types (subset — must match layout/gdsii.cpp).
-enum : std::uint8_t {
-  kHeader = 0x00,
-  kBgnLib = 0x01,
-  kLibName = 0x02,
-  kUnits = 0x03,
-  kEndLib = 0x04,
-  kBgnStr = 0x05,
-  kStrName = 0x06,
-  kEndStr = 0x07,
-  kBoundary = 0x08,
-  kSref = 0x0A,
-  kAref = 0x0B,
-  kLayer = 0x0D,
-  kDatatype = 0x0E,
-  kXy = 0x10,
-  kEndEl = 0x11,
-  kSname = 0x12,
-  kColRow = 0x13,
-};
+using namespace gds;
+
+namespace {
 
 constexpr std::size_t kMaxHierDepth = 64;
 constexpr std::int64_t kMaxFlattenInstances = 1 << 24;
@@ -54,13 +38,13 @@ struct Fnv64 {
 };
 
 /// Forward-only record cursor over a std::istream: 4-byte tag/len
-/// header, payload into one reused bounded buffer. Never reads ahead of
-/// the current record, never buffers the file.
+/// header, payload into one reused buffer (the 16-bit length field
+/// bounds it). Never reads ahead of the current record, never buffers
+/// the file.
 class StreamRecordReader {
  public:
-  StreamRecordReader(std::istream& is, const GdsReadOptions& options)
-      : is_(is), max_record_bytes_(options.max_record_bytes) {
-    buf_.reserve(max_record_bytes_);
+  explicit StreamRecordReader(std::istream& is) : is_(is) {
+    buf_.reserve(0xFFFF);
   }
 
   struct Record {
@@ -83,10 +67,6 @@ class StreamRecordReader {
     rec.type = hdr[2];
     rec.dtype = hdr[3];
     if (len < 4) fail_at(record_start_, "record length below header size");
-    if (len > max_record_bytes_)
-      fail_at(record_start_,
-              "record length " + std::to_string(len) + " exceeds the " +
-                  std::to_string(max_record_bytes_) + "-byte record bound");
     buf_.resize(len - 4);
     if (len > 4) {
       is_.read(buf_.data(), static_cast<std::streamsize>(len - 4));
@@ -121,7 +101,6 @@ class StreamRecordReader {
   }
 
   std::istream& is_;
-  std::size_t max_record_bytes_;
   std::string buf_;
   std::uint64_t offset_ = 0;
   std::uint64_t record_start_ = 0;
@@ -436,30 +415,15 @@ std::vector<std::int16_t> HierLayout::present_layers() const {
   return {layers.begin(), layers.end()};
 }
 
-void HierLayout::collapse(const std::string& library_name) {
-  HierCell top;
-  top.name = cells_[top_].name;
-  for (std::int16_t layer : present_layers()) {
-    for (const geom::Rect& r : flatten(layer)) {
-      top.shapes.push_back(r);
-      top.layers.push_back(layer);
-    }
-  }
-  cells_.clear();
-  cells_.push_back(std::move(top));
-  top_ = 0;
-  finalize(library_name, {{}});
-}
-
-HierLayout read_hier_gds(std::istream& is, const GdsReadOptions& options) {
-  options.validate();
-  StreamRecordReader records(is, options);
+HierLayout read_hier_gds(std::istream& is) {
+  StreamRecordReader records(is);
   HierLayout hier;
   std::vector<std::vector<GdsRef>> raw_refs;
   std::string lib_name = "HSDL";
 
   StreamRecordReader::Record rec;
-  bool saw_header = false, in_struct = false, in_element = false;
+  bool saw_header = false, saw_units = false;
+  bool in_struct = false, in_element = false;
   bool element_is_boundary = false;
   bool element_is_ref = false;
   bool element_is_aref = false;
@@ -482,12 +446,28 @@ HierLayout read_hier_gds(std::istream& is, const GdsReadOptions& options) {
       case kLibName:
         lib_name = trim_nul(rec.payload);
         break;
+      case kUnits: {
+        // Geometry is consumed as integer nanometers, so the database
+        // unit (the second real) must be 1 nm; the user unit only
+        // affects display and is ignored.
+        if (rec.payload.size() < 16) records.fail("short UNITS payload");
+        io::ByteReader r(rec.payload.substr(8), "GDSII");
+        const double db_unit = from_gds_real(r.u64_be());
+        if (!(std::abs(db_unit / kDbUnitMeters - 1.0) <= 1e-9)) {
+          std::ostringstream msg;
+          msg << "database unit " << db_unit
+              << " m is not 1 nm (unsupported)";
+          records.fail(msg.str());
+        }
+        saw_units = true;
+        break;
+      }
       case kBgnLib:
-      case kUnits:
       case kDatatype:
-        break;  // geometry is consumed in integer database units
+        break;  // timestamps / datatype numbers carry no geometry
       case kBgnStr:
         if (in_struct) records.fail("nested BGNSTR");
+        if (!saw_units) records.fail("BGNSTR before UNITS");
         hier.cells_.emplace_back();
         raw_refs.emplace_back();
         in_struct = true;
@@ -582,14 +562,10 @@ HierLayout read_hier_gds(std::istream& is, const GdsReadOptions& options) {
         if (in_element && element_is_boundary) {
           if (!geom::is_rectilinear_ring(current_ring))
             records.fail("non-rectilinear boundary (unsupported subset)");
-          if (options.layer_filter < 0 ||
-              current_layer == options.layer_filter) {
-            HierCell& cell = hier.cells_.back();
-            for (const geom::Rect& r :
-                 geom::Polygon(current_ring).decompose()) {
-              cell.shapes.push_back(r);
-              cell.layers.push_back(current_layer);
-            }
+          HierCell& cell = hier.cells_.back();
+          for (const geom::Rect& r : geom::Polygon(current_ring).decompose()) {
+            cell.shapes.push_back(r);
+            cell.layers.push_back(current_layer);
           }
         }
         in_element = false;
@@ -602,50 +578,24 @@ HierLayout read_hier_gds(std::istream& is, const GdsReadOptions& options) {
         if (in_struct) records.fail("ENDLIB inside structure");
         records.expect_only_padding();
         hier.finalize(lib_name, std::move(raw_refs));
-        if (!options.keep_hierarchy) hier.collapse(lib_name);
         return hier;
       default:
-        if (!options.skip_unknown)
-          records.fail("unknown record type " +
-                       std::to_string(static_cast<int>(rec.type)) +
-                       " with skip_unknown disabled");
-        break;
+        break;  // skip unsupported records (TEXT, PATH, properties, ...)
     }
   }
   records.fail("stream ended without ENDLIB");
 }
 
-HierLayout read_hier_gds_file(const std::string& path,
-                              const GdsReadOptions& options) {
+HierLayout read_hier_gds_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   HSDL_CHECK_MSG(is.good(), "cannot open '" << path << "' for reading");
-  return read_hier_gds(is, options);
+  return read_hier_gds(is);
 }
 
-HierLayout hier_from_library(const GdsLibrary& lib,
-                             const GdsReadOptions& options) {
-  options.validate();
-  HierLayout hier;
-  std::vector<std::vector<GdsRef>> raw_refs;
-  for (const GdsCell& cell : lib.cells) {
-    HierCell hc;
-    hc.name = cell.name;
-    HSDL_CHECK(cell.boundaries.size() == cell.layers.size());
-    for (std::size_t i = 0; i < cell.boundaries.size(); ++i) {
-      if (options.layer_filter >= 0 &&
-          cell.layers[i] != options.layer_filter)
-        continue;
-      for (const geom::Rect& r : cell.boundaries[i].decompose()) {
-        hc.shapes.push_back(r);
-        hc.layers.push_back(cell.layers[i]);
-      }
-    }
-    hier.cells_.push_back(std::move(hc));
-    raw_refs.push_back(cell.refs);
-  }
-  hier.finalize(lib.name, std::move(raw_refs));
-  if (!options.keep_hierarchy) hier.collapse(lib.name);
-  return hier;
+HierLayout hier_from_library(const GdsLibrary& lib) {
+  std::stringstream ss;
+  write_gds(ss, lib);
+  return read_hier_gds(ss);
 }
 
 }  // namespace hsdl::layout

@@ -1,15 +1,12 @@
-// Streaming hierarchical GDSII front-end (DESIGN.md §16).
+// Streaming hierarchical GDSII reader (DESIGN.md §16) — the one GDSII
+// decoder. Full chips are mostly repeated array instances that a flat
+// in-memory model would expand, so the reader keeps them unexpanded:
 //
-// read_gds (layout/gdsii.hpp) slurps the whole stream into memory and
-// models it as an editable DOM — fine for clips, fatal for full chips
-// where most area is repeated array instances that a flat in-memory
-// model would expand. This header is the chip-scale path:
-//
-//   * GdsRecordReader — a forward-only tag/length record cursor over a
-//     std::istream. One bounded record buffer (GdsReadOptions::
-//     max_record_bytes) is reused for every record, so peak reader
-//     memory is O(1) in the file size; every diagnostic carries the
-//     absolute byte offset and record index.
+//   * a forward-only tag/length record cursor over a std::istream. One
+//     record buffer (at most the 16-bit length field's 65535 bytes) is
+//     reused for every record, so peak reader memory is O(1) in the
+//     file size; every diagnostic carries the absolute byte offset and
+//     record index.
 //   * HierLayout — cells with their rectangles plus SREF/AREF
 //     placements kept *unexpanded* (repetition as cols/rows/pitch).
 //     Each cell carries its subtree bounding box and a content hash
@@ -69,8 +66,7 @@ struct HierCell {
 };
 
 /// A GDSII hierarchy with references kept unexpanded. Immutable once
-/// built (by read_hier_gds / hier_from_library); all query methods are
-/// const and thread-safe.
+/// built by read_hier_gds; all query methods are const and thread-safe.
 class HierLayout {
  public:
   const std::vector<HierCell>& cells() const { return cells_; }
@@ -103,16 +99,11 @@ class HierLayout {
   std::vector<std::int16_t> present_layers() const;
 
  private:
-  friend HierLayout read_hier_gds(std::istream&, const GdsReadOptions&);
-  friend HierLayout hier_from_library(const GdsLibrary&,
-                                      const GdsReadOptions&);
+  friend HierLayout read_hier_gds(std::istream&);
 
   void query_cell(std::size_t cell_index, geom::Point offset,
                   const geom::Rect& window, std::int16_t layer,
                   std::vector<geom::Rect>& out, std::size_t depth) const;
-  /// keep_hierarchy == false: replace the hierarchy with one flat top
-  /// cell holding the fully expanded geometry.
-  void collapse(const std::string& library_name);
   /// Resolves `raw_refs` (per-cell, by cell name) into placements,
   /// orients the DAG (cycle check), computes subtree bboxes and content
   /// hashes, picks the top cell. Throws CheckError on cycles, unknown
@@ -125,18 +116,18 @@ class HierLayout {
   std::uint64_t fingerprint_ = 0;
 };
 
-/// Streams a GDSII file into a HierLayout without expanding references.
-/// Unlike read_gds this never buffers the file: records are framed
-/// directly off the istream through one bounded, reused record buffer.
-/// With options.keep_hierarchy == false the result still arrives as a
-/// HierLayout, but flattened into a single top cell (memory O(flat)).
-HierLayout read_hier_gds(std::istream& is, const GdsReadOptions& options = {});
-HierLayout read_hier_gds_file(const std::string& path,
-                              const GdsReadOptions& options = {});
+/// Streams a GDSII file into a HierLayout without expanding references
+/// or buffering the file: records are framed directly off the istream
+/// through one reused record buffer. Unknown record types (TEXT, PATH,
+/// properties, ...) are skipped; a database unit other than 1 nm, a
+/// structural error or a truncation throws IoError/CheckError with the
+/// byte offset and record index.
+HierLayout read_hier_gds(std::istream& is);
+HierLayout read_hier_gds_file(const std::string& path);
 
-/// Converts an in-memory GdsLibrary (e.g. generator-built hierarchies
-/// in tests) into the same HierLayout the streaming reader produces.
-HierLayout hier_from_library(const GdsLibrary& lib,
-                             const GdsReadOptions& options = {});
+/// Builds the HierLayout of an in-memory library (e.g. generator-built
+/// hierarchies in tests) by writing it with write_gds and reading it
+/// back, so it passes exactly the checks a file does.
+HierLayout hier_from_library(const GdsLibrary& lib);
 
 }  // namespace hsdl::layout

@@ -1,49 +1,19 @@
 #include "layout/gdsii.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <fstream>
-#include <istream>
+#include <limits>
 #include <ostream>
-#include <set>
 #include <string_view>
 #include <unordered_map>
 
 #include "common/check.hpp"
-#include "common/io.hpp"
 
 namespace hsdl::layout {
+
+using namespace gds;
+
 namespace {
-
-// Record types (subset).
-enum : std::uint8_t {
-  kHeader = 0x00,
-  kBgnLib = 0x01,
-  kLibName = 0x02,
-  kUnits = 0x03,
-  kEndLib = 0x04,
-  kBgnStr = 0x05,
-  kStrName = 0x06,
-  kEndStr = 0x07,
-  kBoundary = 0x08,
-  kSref = 0x0A,
-  kAref = 0x0B,
-  kSname = 0x12,
-  kColRow = 0x13,
-  kLayer = 0x0D,
-  kDatatype = 0x0E,
-  kXy = 0x10,
-  kEndEl = 0x11,
-};
-
-// Data types.
-enum : std::uint8_t {
-  kNoData = 0x00,
-  kInt16 = 0x02,
-  kInt32 = 0x03,
-  kReal8 = 0x05,
-  kAscii = 0x06,
-};
 
 void put_u16(std::string& buf, std::uint16_t v) {
   buf.push_back(static_cast<char>(v >> 8));
@@ -65,6 +35,12 @@ void emit(std::ostream& os, std::uint8_t rec, std::uint8_t dtype,
   // Length includes the 4-byte header; GDSII pads odd payloads.
   std::string body = payload;
   if (body.size() % 2 == 1) body.push_back('\0');
+  HSDL_CHECK_MSG(body.size() + 4 <= 0xFFFF,
+                 "GDSII: record type " << static_cast<int>(rec) << " of "
+                                       << body.size() + 4
+                                       << " bytes overflows the 16-bit "
+                                          "record length (a boundary of "
+                                          "more than 8190 vertices?)");
   const auto len = static_cast<std::uint16_t>(body.size() + 4);
   std::string header;
   put_u16(header, len);
@@ -85,6 +61,12 @@ void emit_ascii(std::ostream& os, std::uint8_t rec, const std::string& s) {
 }
 
 void put_point(std::string& xy, geom::Point p) {
+  constexpr geom::Coord lo = std::numeric_limits<std::int32_t>::min();
+  constexpr geom::Coord hi = std::numeric_limits<std::int32_t>::max();
+  HSDL_CHECK_MSG(p.x >= lo && p.x <= hi && p.y >= lo && p.y <= hi,
+                 "GDSII: point (" << p.x << ", " << p.y
+                                  << ") is outside the int32 coordinate "
+                                     "range");
   put_u32(xy, static_cast<std::uint32_t>(static_cast<std::int32_t>(p.x)));
   put_u32(xy, static_cast<std::uint32_t>(static_cast<std::int32_t>(p.y)));
 }
@@ -101,110 +83,7 @@ void emit_timestamps(std::ostream& os, std::uint8_t rec) {
   emit(os, rec, kInt16, p);
 }
 
-struct Record {
-  std::uint8_t type = 0;
-  std::uint8_t dtype = 0;
-  std::string_view payload;
-};
-
-/// Walks the record stream over an in-memory buffer via the shared
-/// bounds-checked reader; every diagnostic carries the record index and
-/// the byte offset where decoding stopped.
-class RecordStream {
- public:
-  RecordStream(std::string_view data, std::size_t max_record_bytes)
-      : reader_(data, "GDSII"), max_record_bytes_(max_record_bytes) {}
-
-  bool next(Record& rec) {
-    if (reader_.at_end()) return false;
-    const std::uint64_t start = reader_.pos();
-    if (reader_.remaining() < 4)
-      fail_at(start, "truncated record header");
-    const std::uint16_t len = reader_.u16_be();
-    rec.type = reader_.u8();
-    rec.dtype = reader_.u8();
-    if (len < 4) fail_at(start, "record length below header size");
-    if (len > max_record_bytes_)
-      fail_at(start, "record length " + std::to_string(len) +
-                         " exceeds the " +
-                         std::to_string(max_record_bytes_) +
-                         "-byte record bound");
-    if (reader_.remaining() < static_cast<std::size_t>(len) - 4)
-      fail_at(start, "truncated record payload");
-    rec.payload = reader_.bytes(static_cast<std::size_t>(len) - 4);
-    ++index_;
-    return true;
-  }
-
-  /// Trailing bytes after ENDLIB must be NUL tape padding only.
-  void expect_only_padding() {
-    while (!reader_.at_end())
-      if (reader_.u8() != 0)
-        reader_.fail("non-padding trailing data after ENDLIB");
-  }
-
-  std::size_t record_index() const { return index_; }
-  std::uint64_t offset() const { return reader_.pos(); }
-
-  [[noreturn]] void fail(const std::string& msg) const {
-    fail_at(reader_.pos(), msg);
-  }
-
- private:
-  [[noreturn]] void fail_at(std::uint64_t at, const std::string& msg) const {
-    throw io::IoError(msg + " (record #" + std::to_string(index_) + ")", at,
-                      "GDSII");
-  }
-
-  io::ByteReader reader_;
-  std::size_t max_record_bytes_;
-  std::size_t index_ = 0;  // records fully decoded so far
-};
-
-std::int16_t get_i16(std::string_view p, std::size_t at) {
-  HSDL_CHECK_MSG(at + 2 <= p.size(), "GDSII: record payload too short");
-  return static_cast<std::int16_t>(
-      (static_cast<std::uint16_t>(static_cast<unsigned char>(p[at])) << 8) |
-      static_cast<unsigned char>(p[at + 1]));
-}
-
-std::int32_t get_i32(std::string_view p, std::size_t at) {
-  HSDL_CHECK_MSG(at + 4 <= p.size(), "GDSII: record payload too short");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v = (v << 8) | static_cast<unsigned char>(p[at + static_cast<std::size_t>(i)]);
-  return static_cast<std::int32_t>(v);
-}
-
-std::uint64_t get_u64(std::string_view p, std::size_t at) {
-  HSDL_CHECK_MSG(at + 8 <= p.size(), "GDSII: record payload too short");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v = (v << 8) | static_cast<unsigned char>(p[at + static_cast<std::size_t>(i)]);
-  return v;
-}
-
-std::string trim_nul(std::string_view s) {
-  while (!s.empty() && s.back() == '\0') s.remove_suffix(1);
-  return std::string(s);
-}
-
 }  // namespace
-
-void GdsReadOptions::validate() const {
-  HSDL_CHECK_MSG(max_record_bytes >= 8,
-                 "GDSII options: max_record_bytes must cover at least a "
-                 "header plus a minimal payload, got "
-                     << max_record_bytes);
-  HSDL_CHECK_MSG(max_record_bytes <= 65535,
-                 "GDSII options: max_record_bytes cannot exceed the "
-                 "16-bit record length field (65535), got "
-                     << max_record_bytes);
-  HSDL_CHECK_MSG(layer_filter < 32768,
-                 "GDSII options: layer_filter " << layer_filter
-                                                << " is outside the GDSII "
-                                                   "layer range");
-}
 
 std::uint64_t to_gds_real(double value) {
   // Excess-64 base-16: bit 63 sign, bits 62-56 exponent (power of 16,
@@ -321,41 +200,6 @@ void write_gds(std::ostream& os, const GdsLibrary& lib) {
 
 namespace {
 
-/// Decodes an AREF's COLROW + 3-point XY into the normalized GdsRef
-/// repetition form (origin at the lexicographically lowest instance,
-/// non-negative pitches). `fail` reports with stream position.
-template <typename FailFn>
-void decode_aref_geometry(GdsRef& ref, bool have_colrow,
-                          std::string_view xy_payload, FailFn&& fail) {
-  if (!have_colrow) fail("AREF without COLROW");
-  if (xy_payload.size() != 24) fail("AREF XY must hold exactly 3 points");
-  const geom::Point origin{get_i32(xy_payload, 0), get_i32(xy_payload, 4)};
-  const geom::Point col_ref{get_i32(xy_payload, 8), get_i32(xy_payload, 12)};
-  const geom::Point row_ref{get_i32(xy_payload, 16), get_i32(xy_payload, 20)};
-  if (col_ref.y != origin.y || row_ref.x != origin.x)
-    fail("rotated or sheared AREF (unsupported subset)");
-  const geom::Coord col_span = col_ref.x - origin.x;
-  const geom::Coord row_span = row_ref.y - origin.y;
-  if (col_span % ref.cols != 0 || row_span % ref.rows != 0)
-    fail("AREF span not divisible by its COLROW counts");
-  ref.at = origin;
-  ref.col_pitch = col_span / ref.cols;
-  ref.row_pitch = row_span / ref.rows;
-  if ((ref.cols > 1 && ref.col_pitch == 0) ||
-      (ref.rows > 1 && ref.row_pitch == 0))
-    fail("zero-pitch AREF repetition");
-  // Normalize negative pitches: move the origin to the low corner so
-  // downstream lazy-expansion index math can assume positive steps.
-  if (ref.col_pitch < 0) {
-    ref.at.x += (ref.cols - 1) * ref.col_pitch;
-    ref.col_pitch = -ref.col_pitch;
-  }
-  if (ref.row_pitch < 0) {
-    ref.at.y += (ref.rows - 1) * ref.row_pitch;
-    ref.row_pitch = -ref.row_pitch;
-  }
-}
-
 constexpr std::size_t kMaxFlattenDepth = 64;
 /// Expanded-placement ceiling: adversarial files can nest AREFs so that
 /// the instance count explodes combinatorially; flattening stops with a
@@ -408,197 +252,10 @@ struct Flattener {
 
 }  // namespace
 
-GdsLibrary read_gds(std::istream& is, const GdsReadOptions& options) {
-  options.validate();
-  const std::string data = io::read_stream(is);
-  RecordStream records(data, options.max_record_bytes);
-  GdsLibrary lib;
-  lib.cells.clear();
-  Record rec;
-  bool saw_header = false, in_struct = false, in_element = false;
-  bool element_is_boundary = false;
-  bool element_is_ref = false;
-  bool element_is_aref = false;
-  bool have_colrow = false;
-  std::int16_t current_layer = 0;
-  std::vector<geom::Point> current_ring;
-  std::string aref_xy;  // raw 3-point payload, decoded at ENDEL
-  GdsRef current_ref;
-
-  while (records.next(rec)) {
-    switch (rec.type) {
-      case kHeader:
-        saw_header = true;
-        break;
-      case kLibName:
-        lib.name = trim_nul(rec.payload);
-        break;
-      case kUnits:
-        lib.user_unit = from_gds_real(get_u64(rec.payload, 0));
-        lib.db_unit_meters = from_gds_real(get_u64(rec.payload, 8));
-        break;
-      case kBgnLib:
-      case kDatatype:
-        break;  // timestamps / datatype numbers carry no geometry
-      case kBgnStr:
-        if (in_struct) records.fail("nested BGNSTR");
-        lib.cells.emplace_back();
-        in_struct = true;
-        break;
-      case kStrName:
-        if (!in_struct) records.fail("STRNAME outside structure");
-        lib.cells.back().name = trim_nul(rec.payload);
-        break;
-      case kEndStr:
-        if (!in_struct || in_element) records.fail("unbalanced ENDSTR");
-        in_struct = false;
-        break;
-      case kBoundary:
-        if (!in_struct || in_element)
-          records.fail("BOUNDARY outside structure");
-        in_element = true;
-        element_is_boundary = true;
-        current_layer = 0;
-        current_ring.clear();
-        break;
-      case kSref:
-      case kAref:
-        if (!in_struct || in_element)
-          records.fail(rec.type == kAref ? "AREF outside structure"
-                                         : "SREF outside structure");
-        in_element = true;
-        element_is_ref = true;
-        element_is_aref = rec.type == kAref;
-        have_colrow = false;
-        aref_xy.clear();
-        current_ref = GdsRef{};
-        break;
-      case kSname:
-        if (in_element && element_is_ref)
-          current_ref.cell = trim_nul(rec.payload);
-        break;
-      case kColRow:
-        if (in_element && element_is_aref) {
-          if (rec.payload.size() < 4) records.fail("short COLROW payload");
-          current_ref.cols = get_i16(rec.payload, 0);
-          current_ref.rows = get_i16(rec.payload, 2);
-          if (current_ref.cols < 1 || current_ref.rows < 1)
-            records.fail("non-positive COLROW repetition");
-          have_colrow = true;
-        }
-        break;
-      case kLayer:
-        if (in_element) current_layer = get_i16(rec.payload, 0);
-        break;
-      case kXy:
-        if (in_element && element_is_ref) {
-          if (element_is_aref) {
-            aref_xy.assign(rec.payload);
-          } else {
-            if (rec.payload.size() < 8) records.fail("SREF without XY");
-            current_ref.at = {get_i32(rec.payload, 0),
-                              get_i32(rec.payload, 4)};
-          }
-        }
-        if (in_element && element_is_boundary) {
-          if (rec.payload.size() % 8 != 0) records.fail("odd XY payload");
-          const std::size_t n = rec.payload.size() / 8;
-          current_ring.clear();
-          for (std::size_t i = 0; i < n; ++i)
-            current_ring.push_back(
-                {get_i32(rec.payload, i * 8),
-                 get_i32(rec.payload, i * 8 + 4)});
-          // GDSII repeats the first vertex at the end.
-          if (current_ring.size() >= 2 &&
-              current_ring.front() == current_ring.back())
-            current_ring.pop_back();
-        }
-        break;
-      case kEndEl:
-        if (in_element && element_is_ref) {
-          if (current_ref.cell.empty()) records.fail("SREF without SNAME");
-          if (element_is_aref)
-            decode_aref_geometry(current_ref, have_colrow, aref_xy,
-                                 [&](const char* msg) { records.fail(msg); });
-          lib.cells.back().refs.push_back(current_ref);
-        }
-        if (in_element && element_is_boundary) {
-          if (!geom::is_rectilinear_ring(current_ring))
-            records.fail("non-rectilinear boundary (unsupported subset)");
-          if (options.layer_filter < 0 ||
-              current_layer == options.layer_filter) {
-            lib.cells.back().boundaries.emplace_back(current_ring);
-            lib.cells.back().layers.push_back(current_layer);
-          }
-        }
-        in_element = false;
-        element_is_boundary = false;
-        element_is_ref = false;
-        element_is_aref = false;
-        break;
-      case kEndLib: {
-        if (!saw_header) records.fail("ENDLIB before HEADER");
-        records.expect_only_padding();
-        if (!options.keep_hierarchy) {
-          // Eager resolution: a single flat top cell replaces the
-          // hierarchy (the unique unreferenced cell is the top).
-          std::set<std::string> referenced;
-          for (const GdsCell& cell : lib.cells)
-            for (const GdsRef& ref : cell.refs) referenced.insert(ref.cell);
-          const GdsCell* top = nullptr;
-          for (const GdsCell& cell : lib.cells) {
-            if (referenced.count(cell.name)) continue;
-            if (top != nullptr)
-              records.fail("keep_hierarchy=false requires a unique top "
-                           "cell (found at least '" +
-                           top->name + "' and '" + cell.name + "')");
-            top = &cell;
-          }
-          if (top == nullptr)
-            records.fail("keep_hierarchy=false found no top cell "
-                         "(reference cycle)");
-          std::set<std::int16_t> layers;
-          for (const GdsCell& cell : lib.cells)
-            layers.insert(cell.layers.begin(), cell.layers.end());
-          GdsCell flat;
-          flat.name = top->name;
-          for (std::int16_t layer : layers)
-            for (const geom::Rect& r : flatten_cell(lib, top->name, layer)) {
-              flat.boundaries.push_back(geom::Polygon::from_rect(r));
-              flat.layers.push_back(layer);
-            }
-          lib.cells = {std::move(flat)};
-        }
-        return lib;
-      }
-      default:
-        if (!options.skip_unknown)
-          records.fail("unknown record type " +
-                       std::to_string(static_cast<int>(rec.type)) +
-                       " with skip_unknown disabled");
-        break;  // skip unsupported records (TEXT, properties, ...)
-    }
-  }
-  records.fail("stream ended without ENDLIB");
-}
-
-GdsLibrary read_gds(std::istream& is) { return read_gds(is, {}); }
-
 void write_gds_file(const std::string& path, const GdsLibrary& lib) {
   std::ofstream os(path, std::ios::binary);
   HSDL_CHECK_MSG(os.good(), "cannot open '" << path << "' for writing");
   write_gds(os, lib);
-}
-
-GdsLibrary read_gds_file(const std::string& path,
-                         const GdsReadOptions& options) {
-  std::ifstream is(path, std::ios::binary);
-  HSDL_CHECK_MSG(is.good(), "cannot open '" << path << "' for reading");
-  return read_gds(is, options);
-}
-
-GdsLibrary read_gds_file(const std::string& path) {
-  return read_gds_file(path, {});
 }
 
 std::vector<geom::Rect> flatten_cell(const GdsLibrary& lib,
@@ -607,29 +264,6 @@ std::vector<geom::Rect> flatten_cell(const GdsLibrary& lib,
   Flattener flattener(lib, layer);
   flattener.visit(cell_name, {0, 0}, 0);
   return std::move(flattener.out);
-}
-
-GdsLibrary clip_to_gds(const Clip& clip, std::int16_t layer,
-                       const std::string& cell_name) {
-  GdsLibrary lib;
-  GdsCell cell;
-  cell.name = cell_name;
-  for (const geom::Rect& r : clip.shapes) {
-    cell.boundaries.push_back(geom::Polygon::from_rect(r));
-    cell.layers.push_back(layer);
-  }
-  lib.cells.push_back(std::move(cell));
-  return lib;
-}
-
-Clip gds_to_clip(const GdsLibrary& lib, std::int16_t layer) {
-  HSDL_CHECK_MSG(!lib.cells.empty(), "GDSII library has no cells");
-  Clip clip;
-  clip.shapes = lib.cells.front().rects_on_layer(layer);
-  geom::Rect bbox;
-  for (const geom::Rect& r : clip.shapes) bbox = bbox.bbox_union(r);
-  clip.window = bbox;
-  return clip;
 }
 
 }  // namespace hsdl::layout

@@ -1,4 +1,5 @@
-// GDSII stream-format subset reader/writer.
+// GDSII stream-format subset: the record table, the in-memory library
+// model and its writer.
 //
 // GDSII is the interchange format the original benchmarks ship in. This
 // implements the subset needed for single-layer mask data with cell
@@ -8,15 +9,13 @@
 //   SREF / AREF / SNAME / COLROW, ENDSTR, ENDLIB
 // Records are big-endian; UNITS uses GDSII's excess-64 base-16 8-byte
 // reals (converters exposed for testing). Boundaries are rectilinear
-// polygons; on read they are decomposed into rectangles via the geometry
-// kernel. AREF arrays must be axis-aligned (no rotation/magnification —
+// polygons. AREF arrays must be axis-aligned (no rotation/magnification —
 // outside the supported subset).
 //
-// This header is the in-memory DOM view (`GdsLibrary`): the whole file
-// is parsed into cells that can be edited and written back. For
-// chip-scale inputs that must not be expanded in RAM, use the streaming
-// reader in layout/gds_stream.hpp, which shares `GdsReadOptions` and the
-// record grammar but keeps hierarchy unexpanded (DESIGN.md §16).
+// `GdsLibrary` is a write-side model: perfbench, the benches and the
+// tests build inputs with it and serialize them through write_gds. The
+// one reader is the streaming read_hier_gds in layout/gds_stream.hpp
+// (DESIGN.md §16), which shares the record table below.
 #pragma once
 
 #include <cstdint>
@@ -25,43 +24,47 @@
 #include <vector>
 
 #include "geom/polygon.hpp"
-#include "layout/clip.hpp"
 
 namespace hsdl::layout {
 
-/// Read-time policy for both GDSII readers (`read_gds` and the
-/// streaming `read_hier_gds`). Replaces the implicit behaviors of the
-/// original reader (silent unknown-record skipping, unbounded record
-/// sizes, all layers kept) with explicit, validated options — the same
-/// construct-then-validate idiom as ScanConfig/EngineConfig.
-struct GdsReadOptions {
-  /// Upper bound on a record's declared length (header included). The
-  /// GDSII length field is 16-bit so 65535 admits every legal file;
-  /// lowering it rejects adversarially oversized records early, before
-  /// any allocation sized by the untrusted field.
-  std::size_t max_record_bytes = 65535;
-  /// When false, the reader resolves the hierarchy eagerly and returns
-  /// a single flat top cell (requires a unique top cell). The default
-  /// keeps SREF/AREF references unexpanded.
-  bool keep_hierarchy = true;
-  /// Keep only boundaries on this layer (negative keeps every layer).
-  std::int32_t layer_filter = -1;
-  /// Skip record types outside the supported subset (TEXT, PATH,
-  /// properties, ...). When false, the first unknown record is a
-  /// positioned error — use for strict interchange validation.
-  bool skip_unknown = true;
-
-  /// Rejects nonsense configurations (record bound smaller than a
-  /// record header / larger than the 16-bit field can express, layer
-  /// filter outside the GDSII layer range) with a positioned error.
-  /// Both readers call this on entry.
-  void validate() const;
+/// GDSII record types and data types of the supported subset — the one
+/// table the writer and the reader share.
+namespace gds {
+enum Record : std::uint8_t {
+  kHeader = 0x00,
+  kBgnLib = 0x01,
+  kLibName = 0x02,
+  kUnits = 0x03,
+  kEndLib = 0x04,
+  kBgnStr = 0x05,
+  kStrName = 0x06,
+  kEndStr = 0x07,
+  kBoundary = 0x08,
+  kSref = 0x0A,
+  kAref = 0x0B,
+  kLayer = 0x0D,
+  kDatatype = 0x0E,
+  kXy = 0x10,
+  kEndEl = 0x11,
+  kSname = 0x12,
+  kColRow = 0x13,
 };
+enum DataType : std::uint8_t {
+  kNoData = 0x00,
+  kInt16 = 0x02,
+  kInt32 = 0x03,
+  kReal8 = 0x05,
+  kAscii = 0x06,
+};
+/// The database unit read_hier_gds requires: geometry is integer
+/// nanometers.
+inline constexpr double kDbUnitMeters = 1e-9;
+}  // namespace gds
 
 /// Structure reference: a translated placement of another cell. A plain
 /// SREF is the cols == rows == 1 case; an AREF places a cols x rows
 /// array stepped by col_pitch in x and row_pitch in y (axis-aligned
-/// subset; pitches are normalized non-negative on read).
+/// subset; the writer requires positive pitches on arrays).
 struct GdsRef {
   std::string cell;
   geom::Point at;
@@ -90,8 +93,9 @@ struct GdsCell {
 
 struct GdsLibrary {
   std::string name = "HSDL";
-  /// Database unit in meters (1e-9 = 1 nm, this library's convention).
-  double db_unit_meters = 1e-9;
+  /// Database unit in meters. read_hier_gds accepts only
+  /// gds::kDbUnitMeters (1 nm); other values exist to write test inputs.
+  double db_unit_meters = gds::kDbUnitMeters;
   /// User unit in database units (GDSII UNITS first field).
   double user_unit = 1e-3;
   std::vector<GdsCell> cells;
@@ -99,22 +103,16 @@ struct GdsLibrary {
 
 /// Serializes a library. Boundaries must be rectilinear polygons; refs
 /// with is_array() emit AREF records (SNAME + COLROW + 3-point XY).
+/// Throws CheckError on what GDSII cannot hold: a record longer than
+/// its 16-bit length field (a boundary of more than 8190 vertices) or a
+/// coordinate, AREF far corner included, outside the int32 range.
 void write_gds(std::ostream& os, const GdsLibrary& lib);
 void write_gds_file(const std::string& path, const GdsLibrary& lib);
 
-/// Parses a GDSII stream; throws CheckError/IoError (with the byte
-/// offset and record index) on structural errors.
-GdsLibrary read_gds(std::istream& is, const GdsReadOptions& options);
-GdsLibrary read_gds_file(const std::string& path,
-                         const GdsReadOptions& options);
-/// Default-options overloads (the historical behavior: hierarchy kept,
-/// unknown records skipped, every layer loaded).
-GdsLibrary read_gds(std::istream& is);
-GdsLibrary read_gds_file(const std::string& path);
-
 /// Recursively resolves structure references of `cell_name` (repetition
 /// included), returning every boundary rectangle on `layer` in the
-/// flattened (top-cell) coordinate frame. Cell names resolve through a
+/// flattened (top-cell) coordinate frame — the oracle HierLayout's
+/// flatten and query are tested against. Cell names resolve through a
 /// name index built once per call; unknown cells, reference cycles,
 /// absurd hierarchy depth and adversarial instance blow-ups
 /// (> ~16.7M placements) are positioned errors, never unbounded
@@ -122,19 +120,6 @@ GdsLibrary read_gds_file(const std::string& path);
 std::vector<geom::Rect> flatten_cell(const GdsLibrary& lib,
                                      const std::string& cell_name,
                                      std::int16_t layer);
-
-/// Deprecated: one-cell shortcut kept for existing callers. New code
-/// should build a GdsLibrary explicitly (or scan through a
-/// layout::LayoutSource adapter — DESIGN.md §16) instead of assuming
-/// the one-clip-one-cell shape.
-GdsLibrary clip_to_gds(const Clip& clip, std::int16_t layer = 1,
-                       const std::string& cell_name = "CLIP");
-
-/// Deprecated: rebuilds a clip from the first cell's shapes on `layer`
-/// (window = bounding box). Same caveat as clip_to_gds: prefer explicit
-/// adapter construction (DESIGN.md §16); this ignores hierarchy and
-/// every cell but the first.
-Clip gds_to_clip(const GdsLibrary& lib, std::int16_t layer = 1);
 
 // -- GDSII 8-byte real conversion (exposed for tests) --
 std::uint64_t to_gds_real(double value);

@@ -81,17 +81,13 @@ geom::Rect parse_rect(const std::vector<std::string>& tok, std::size_t lineno) {
   return geom::Rect::from_xywh(x, y, w, h);
 }
 
-/// Clip list body (the CLIP/RECT/ENDCLIP lines). `lineno_base` offsets
-/// reported line numbers so GLF 2 errors count from the real file line.
-/// When `expect_header` is set the first significant line must be the
-/// legacy "GLF 1" header.
-std::vector<LabeledClip> parse_body(std::istream& is, std::size_t lineno_base,
-                                    bool expect_header) {
+/// Clip list body (the CLIP/RECT/ENDCLIP lines). Reported line numbers
+/// count from the real file line (the header is line 1).
+std::vector<LabeledClip> parse_body(std::istream& is) {
   std::vector<LabeledClip> out;
   std::string line;
-  std::size_t lineno = lineno_base;
+  std::size_t lineno = 1;
 
-  bool saw_header = !expect_header;
   bool in_clip = false;
   LabeledClip current;
 
@@ -100,17 +96,6 @@ std::vector<LabeledClip> parse_body(std::istream& is, std::size_t lineno_base,
     std::string_view sv = trim(line);
     if (sv.empty() || sv[0] == '#') continue;
     std::vector<std::string> tok = split_ws(sv);
-
-    if (!saw_header) {
-      HSDL_CHECK_MSG(tok.size() == 2 && tok[0] == "GLF",
-                     "GLF line " << lineno << ": missing 'GLF 1' header");
-      HSDL_CHECK_MSG(tok[1] == "1", "GLF line "
-                                        << lineno
-                                        << ": unsupported GLF version '"
-                                        << tok[1] << "'");
-      saw_header = true;
-      continue;
-    }
     if (tok[0] == "CLIP") {
       HSDL_CHECK_MSG(!in_clip, "GLF line " << lineno << ": nested CLIP");
       HSDL_CHECK_MSG(tok.size() == 6,
@@ -134,7 +119,6 @@ std::vector<LabeledClip> parse_body(std::istream& is, std::size_t lineno_base,
     }
   }
   HSDL_CHECK_MSG(!in_clip, "GLF: unterminated CLIP at end of stream");
-  HSDL_CHECK_MSG(saw_header, "GLF: empty stream (no header)");
   return out;
 }
 
@@ -170,14 +154,18 @@ std::string render_glf(const std::vector<LabeledClip>& clips) {
 ///   GLF 2 crc32=<8 hex> bytes=<N> clips=<M>
 /// and the remaining N bytes are the clip body the CRC-32 covers. Any
 /// bit flip, truncation or header-field mutation fails one of the
-/// checks below with a positioned diagnostic.
-std::vector<LabeledClip> read_glf2(const std::string& data) {
+/// checks below with a positioned diagnostic; so does any other header,
+/// "GLF 1" included.
+std::vector<LabeledClip> parse_glf(const std::string& data) {
   const std::size_t nl = data.find('\n');
   HSDL_CHECK_MSG(nl != std::string::npos,
                  "GLF 2 header: missing end-of-line");
   const std::vector<std::string> tok =
       split_ws(std::string_view(data).substr(0, nl));
-  HSDL_CHECK_MSG(tok.size() == 5 && tok[0] == "GLF" && tok[1] == "2",
+  if (tok.size() < 2 || tok[0] != "GLF" || tok[1] != "2")
+    throw io::IoError("expected a 'GLF 2' header (no other version is read)",
+                      0, "GLF");
+  HSDL_CHECK_MSG(tok.size() == 5,
                  "GLF 2 header: expected 'GLF 2 crc32=… bytes=… clips=…', "
                  "got " << tok.size() << " token(s)");
   const std::uint32_t want_crc = parse_crc_field(tok[2]);
@@ -197,8 +185,7 @@ std::vector<LabeledClip> read_glf2(const std::string& data) {
                       "GLF 2");
 
   std::istringstream is{std::string(body)};
-  std::vector<LabeledClip> out =
-      parse_body(is, /*lineno_base=*/1, /*expect_header=*/false);
+  std::vector<LabeledClip> out = parse_body(is);
   HSDL_CHECK_MSG(out.size() == want_clips,
                  "GLF 2: body has " << out.size()
                                     << " clip(s), header says "
@@ -219,12 +206,7 @@ void write_glf_file(const std::string& path,
 }
 
 std::vector<LabeledClip> read_glf(std::istream& is) {
-  const std::string data = io::read_stream(is);
-  if (data.rfind("GLF 2", 0) == 0) return read_glf2(data);
-  // Legacy GLF 1: tolerant line format (comments may precede the
-  // header), no checksum.
-  std::istringstream body(data);
-  return parse_body(body, /*lineno_base=*/0, /*expect_header=*/true);
+  return parse_glf(io::read_stream(is));
 }
 
 std::vector<LabeledClip> read_glf_file(const std::string& path) {

@@ -13,10 +13,10 @@
 //
 // The header line declares the CRC-32, byte count and clip count of the
 // body that follows, so bit flips and truncations are rejected with a
-// positioned error instead of silently loading damaged geometry. Legacy
-// "GLF 1" files (same body, bare "GLF 1" header, no checksum) still
-// read. Within the body, lines starting with '#' and blank lines are
-// ignored. File writes are atomic (write temp + rename).
+// positioned error instead of silently loading damaged geometry; so is
+// any other header, including the unchecksummed "GLF 1". Within the
+// body, lines starting with '#' and blank lines are ignored. File writes
+// are atomic (write temp + rename).
 #pragma once
 
 #include <iosfwd>
@@ -32,9 +32,9 @@ void write_glf(std::ostream& os, const std::vector<LabeledClip>& clips);
 void write_glf_file(const std::string& path,
                     const std::vector<LabeledClip>& clips);
 
-/// Parses a GLF 1 or GLF 2 stream. Throws hsdl::CheckError with a line
-/// number on malformed input and hsdl::io::IoError with a byte offset
-/// on container damage (checksum or byte-count mismatch).
+/// Parses a GLF 2 stream. Throws hsdl::CheckError with a line number on
+/// a malformed body and hsdl::io::IoError with a byte offset on a
+/// foreign header or container damage (checksum or byte-count mismatch).
 std::vector<LabeledClip> read_glf(std::istream& is);
 std::vector<LabeledClip> read_glf_file(const std::string& path);
 

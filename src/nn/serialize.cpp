@@ -1,7 +1,6 @@
 #include "nn/serialize.hpp"
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -23,47 +22,6 @@ namespace {
 // and nothing after: loaders reject trailing data.
 constexpr char kMagicV2[] = "HSDLNN2\0";
 constexpr std::size_t kMaxDims = 16;
-
-// Legacy v1: "HSDLNN1\n", native-endian u64 fields, raw float payloads,
-// no checksums. Read-only.
-constexpr char kMagicV1[] = "HSDLNN1\n";
-constexpr std::size_t kMagicV1Len = sizeof(kMagicV1) - 1;
-
-std::uint64_t read_u64_native(io::ByteReader& r) {
-  std::uint64_t v = 0;
-  const std::string_view b = r.bytes(sizeof(v));
-  std::memcpy(&v, b.data(), sizeof(v));
-  return v;
-}
-
-/// v1 loader: native-endian fields exactly as the original writer
-/// emitted them, now with positioned truncation errors and a strict
-/// end-of-buffer check.
-void load_params_v1(io::ByteReader& r, const std::vector<Param*>& params) {
-  const std::uint64_t n = read_u64_native(r);
-  HSDL_CHECK_MSG(n == params.size(), "checkpoint has " << n
-                                                       << " params, model has "
-                                                       << params.size());
-  for (Param* p : params) {
-    const std::uint64_t name_len = read_u64_native(r);
-    if (name_len >= (1u << 20))
-      r.fail("implausible param name length in v1 checkpoint");
-    const std::string name(r.bytes(name_len));
-    HSDL_CHECK_MSG(name == p->name, "checkpoint param '"
-                                        << name << "' where model expects '"
-                                        << p->name << "'");
-    const std::uint64_t ndim = read_u64_native(r);
-    if (ndim > kMaxDims) r.fail("implausible rank in v1 checkpoint");
-    std::vector<std::size_t> shape(ndim);
-    for (auto& e : shape) e = read_u64_native(r);
-    HSDL_CHECK_MSG(shape == p->value.shape(),
-                   "shape mismatch for param '" << name << "'");
-    const std::string_view payload =
-        r.bytes(p->value.numel() * sizeof(float));
-    std::memcpy(p->value.data(), payload.data(), payload.size());
-  }
-  r.expect_end();
-}
 
 void load_params_v2(io::ByteReader& r, std::string_view data,
                     const std::vector<Param*>& params) {
@@ -130,12 +88,6 @@ void deserialize_params(std::string_view data,
                         const std::vector<Param*>& params,
                         const std::string& context) {
   io::ByteReader r(data, context);
-  if (data.size() >= kMagicV1Len &&
-      data.substr(0, kMagicV1Len) == std::string_view(kMagicV1, kMagicV1Len)) {
-    r.bytes(kMagicV1Len);  // consume the legacy magic
-    load_params_v1(r, params);
-    return;
-  }
   load_params_v2(r, data, params);
 }
 

@@ -9,10 +9,10 @@
 // truncated, bit-flipped or concatenated file is rejected with a
 // positioned diagnostic instead of silently restoring garbage.
 //
-// Legacy v1 files ("HSDLNN1\n" magic, native-endian, no checksums) are
-// still read for backward compatibility; writes always emit v2.
-// File saves are atomic (write temp + rename), so an interrupted save
-// leaves the previous checkpoint intact.
+// Any other magic, including the unchecksummed v1 "HSDLNN1\n", is
+// rejected with a positioned bad-magic error. File saves are atomic
+// (write temp + rename), so an interrupted save leaves the previous
+// checkpoint intact.
 #pragma once
 
 #include <iosfwd>
@@ -30,7 +30,7 @@ inline constexpr std::uint32_t kCheckpointVersion = 2;
 /// Encodes the v2 checkpoint into an in-memory buffer.
 std::string serialize_params(const std::vector<Param*>& params);
 
-/// Decodes a v1 or v2 checkpoint buffer into the params, in place.
+/// Decodes a v2 checkpoint buffer into the params, in place.
 /// Throws hsdl::io::IoError (a CheckError) carrying the byte offset on
 /// any structural damage, checksum mismatch, or trailing data; throws
 /// CheckError on name/shape mismatch with the target network.

@@ -39,19 +39,15 @@ void ServeClient::connect_and_handshake() {
   const Frame ack = roundtrip(MsgType::kHello, encode_hello(hello),
                               MsgType::kHelloAck);
   const HelloAck decoded = decode_hello_ack(ack.body, "hello ack");
-  // The ack carries the version the session will speak: the client's
-  // own, or an older one a lagging server negotiated down to.
-  HSDL_CHECK_MSG(decoded.version >= kMinProtocolVersion &&
-                     decoded.version <= kProtocolVersion,
-                 "server negotiated protocol version "
+  HSDL_CHECK_MSG(decoded.version == kProtocolVersion,
+                 "server acked protocol version "
                      << decoded.version << ", client speaks "
-                     << kMinProtocolVersion << ".." << kProtocolVersion);
-  version_ = decoded.version;
+                     << kProtocolVersion);
   model_generation_ = decoded.model_generation;
 }
 
 std::uint64_t ServeClient::next_trace_id() const {
-  if (!tracing_ || version_ < 3) return 0;
+  if (!tracing_) return 0;
   const std::uint64_t id = fnv1a64(tenant_) ^ next_request_id_;
   return id == 0 ? 1 : id;
 }
@@ -87,7 +83,7 @@ ScoreResponse ServeClient::score(std::span<const layout::Clip> clips,
       request.sampled && trace::enabled() ? trace::timestamp_ns() : 0;
   const Frame frame =
       roundtrip(MsgType::kScoreRequest,
-                encode_score_request(request, version_),
+                encode_score_request(request),
                 MsgType::kScoreResponse);
   if (begin_ns != 0)
     trace::emit("client.request", begin_ns, trace::timestamp_ns(),
@@ -145,9 +141,6 @@ ScoreResponse ServeClient::score_with_retry(
 }
 
 std::string ServeClient::stats_json() {
-  HSDL_CHECK_MSG(version_ >= 3,
-                 "stats request needs protocol v3; session negotiated v"
-                     << version_);
   const Frame frame =
       roundtrip(MsgType::kStatsRequest, "", MsgType::kStatsResponse);
   return decode_stats_response(frame.body, "serve client").stats_json;

@@ -75,20 +75,15 @@ class ServeClient {
   /// Model generation from the handshake / the latest response.
   std::uint64_t model_generation() const { return model_generation_; }
 
-  /// Protocol version negotiated at Hello (the server may ack an older
-  /// version than the client offered; both then speak it).
-  std::uint32_t negotiated_version() const { return version_; }
-
-  /// When on (and the session negotiated v3), every score request
-  /// carries a sampled trace id — fnv1a(tenant) ^ request_id — and the
-  /// client records a client.request span under the same id, so client
-  /// and server spans stitch into one tree when their trace buffers are
-  /// merged. No-op wire-wise on a v2 session.
+  /// When on, every score request carries a sampled trace id —
+  /// fnv1a(tenant) ^ request_id — and the client records a
+  /// client.request span under the same id, so client and server spans
+  /// stitch into one tree when their trace buffers are merged.
   void set_tracing(bool on) { tracing_ = on; }
   bool tracing() const { return tracing_; }
 
-  /// Trace id the next score() will carry (0 when tracing is off or
-  /// the session is v2). Lets tests assert span identity.
+  /// Trace id the next score() will carry (0 when tracing is off).
+  /// Lets tests assert span identity.
   std::uint64_t next_trace_id() const;
 
   /// Serving path (fp32/int8) that scored the latest response.
@@ -120,9 +115,8 @@ class ServeClient {
                                  std::uint32_t deadline_ms = 0,
                                  RetryStats* stats = nullptr);
 
-  /// v3 live stats: asks the server for its JSON snapshot (see
-  /// HotspotServer::stats_json). Throws CheckError on a v2 session —
-  /// the message does not exist on that wire.
+  /// Live stats: asks the server for its JSON snapshot (see
+  /// HotspotServer::stats_json).
   std::string stats_json();
 
   /// Convenience view of score(): probabilities re-ordered back to
@@ -149,7 +143,6 @@ class ServeClient {
   std::uint64_t next_request_id_ = 1;
   std::uint64_t model_generation_ = 0;
   ServeMode last_mode_ = ServeMode::kFp32;
-  std::uint32_t version_ = kProtocolVersion;
   bool tracing_ = false;
 };
 

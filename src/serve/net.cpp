@@ -88,7 +88,7 @@ void Socket::send_all(const void* data, std::size_t n) {
         p += w;
         left -= static_cast<std::size_t>(w);
       }
-      close();
+      drop();
       throw CheckError("send: injected connection drop (" + fault_site_ +
                        ".send)");
     }
@@ -110,7 +110,7 @@ bool Socket::recv_exact(void* out, std::size_t n) {
       fault::short_io(fault_site_ + ".recv", n).has_value()) {
     // Unlike the send side there is no honest way to half-read a live
     // stream, so any fired recv probe drops the connection outright.
-    close();
+    drop();
     throw CheckError("recv: injected connection drop (" + fault_site_ +
                      ".recv)");
   }
@@ -135,6 +135,10 @@ bool Socket::recv_exact(void* out, std::size_t n) {
 
 void Socket::shutdown_read() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
+}
+
+void Socket::drop() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 void Socket::close() {

@@ -65,6 +65,11 @@ class Socket {
   void close();
 
  private:
+  /// Injected connection drop: shutdown(2) both directions but keep the
+  /// fd, which only the destructor closes — a drain thread still calling
+  /// shutdown_read() can then never reach a recycled descriptor.
+  void drop();
+
   int fd_ = -1;
   std::string fault_site_ = "net";
 };

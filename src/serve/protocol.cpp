@@ -149,33 +149,27 @@ HelloAck decode_hello_ack(std::string_view body, const std::string& context) {
   return m;
 }
 
-std::string encode_score_request(const ScoreRequest& m,
-                                 std::uint32_t version) {
+std::string encode_score_request(const ScoreRequest& m) {
   io::ByteWriter w;
   w.u64(m.request_id);
   w.u32(m.deadline_ms);
-  if (version >= 3) {
-    w.u64(m.trace_id);
-    w.u8(m.sampled ? 1 : 0);
-  }
+  w.u64(m.trace_id);
+  w.u8(m.sampled ? 1 : 0);
   w.u32(static_cast<std::uint32_t>(m.clips.size()));
   for (const layout::Clip& c : m.clips) write_clip(w, c);
   return w.take();
 }
 
 ScoreRequest decode_score_request(std::string_view body,
-                                  const std::string& context,
-                                  std::uint32_t version) {
+                                  const std::string& context) {
   io::ByteReader r = body_reader(body, context);
   ScoreRequest m;
   m.request_id = r.u64();
   m.deadline_ms = r.u32();
-  if (version >= 3) {
-    m.trace_id = r.u64();
-    const std::uint8_t sampled = r.u8();
-    if (sampled > 1) r.fail("trace sampled flag must be 0 or 1");
-    m.sampled = sampled == 1;
-  }
+  m.trace_id = r.u64();
+  const std::uint8_t sampled = r.u8();
+  if (sampled > 1) r.fail("trace sampled flag must be 0 or 1");
+  m.sampled = sampled == 1;
   const std::uint32_t n = r.u32();
   if (static_cast<std::size_t>(n) * 40 > kMaxFrameBytes)
     r.fail("clip count exceeds frame capacity");

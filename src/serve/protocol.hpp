@@ -33,10 +33,8 @@
 // between deadline_ms and the clip array — and the Stats message pair:
 // StatsRequest (empty body) answered by StatsResponse carrying a JSON
 // snapshot of the server's counters, stage histograms and per-tenant
-// totals. v3 is negotiated per session: the server acks a v2 Hello with
-// version 2 and the session then speaks the v2 ScoreRequest layout, so
-// old clients keep working unchanged. Message encoders/decoders whose
-// layout changed take the negotiated version explicitly.
+// totals. v3 is the only version spoken: a Hello offering any other
+// version is answered kBadVersion and the session closes.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +47,6 @@
 namespace hsdl::serve {
 
 inline constexpr std::uint32_t kProtocolVersion = 3;
-/// Oldest protocol version the server still speaks; a v2 Hello
-/// negotiates a v2 session (no trace context on the wire).
-inline constexpr std::uint32_t kMinProtocolVersion = 2;
 /// Upper bound on a frame payload; a length field damaged upward is
 /// rejected before any allocation.
 inline constexpr std::size_t kMaxFrameBytes = 1u << 24;  // 16 MiB
@@ -67,8 +62,8 @@ enum class MsgType : std::uint8_t {
   kSwapAck = 6,
   kError = 7,
   kBye = 8,
-  kStatsRequest = 9,   ///< v3: live stats snapshot (empty body)
-  kStatsResponse = 10,  ///< v3: JSON snapshot (see HotspotServer::stats_json)
+  kStatsRequest = 9,    ///< live stats snapshot (empty body)
+  kStatsResponse = 10,  ///< JSON snapshot (see HotspotServer::stats_json)
 };
 
 enum class ErrorCode : std::uint8_t {
@@ -109,10 +104,9 @@ struct ScoreRequest {
   /// it occupies an engine slot; a request whose deadline passes while
   /// queued in the micro-batcher is dropped there.
   std::uint32_t deadline_ms = 0;
-  /// v3 trace context: a nonzero id + sampled=true asks the server to
+  /// Trace context: a nonzero id + sampled=true asks the server to
   /// record this request's stage spans under the id (common/trace),
   /// stitching one span tree across the session and engine threads.
-  /// Absent on the v2 wire (both fields decode to their defaults).
   std::uint64_t trace_id = 0;
   bool sampled = false;
   std::vector<layout::Clip> clips;
@@ -153,7 +147,7 @@ struct ErrorMsg {
   std::uint32_t retry_after_ms = 0;
 };
 
-/// v3 live stats snapshot: the body is one compact JSON document
+/// Live stats snapshot: the body is one compact JSON document
 /// (schema hsdl-serve-stats-v1, strict-parseable by common/json).
 /// Assembled off the hot path — building it reads counters/atomics and
 /// never blocks a score request.
@@ -176,13 +170,10 @@ std::string encode_frame(MsgType type, std::string_view body);
 /// offset on any damage.
 Frame decode_frame(std::string_view buf, const std::string& context);
 
-// Message encoders: body bytes only (pass to encode_frame). Messages
-// whose layout differs across protocol versions take the negotiated
-// session version.
+// Message encoders: body bytes only (pass to encode_frame).
 std::string encode_hello(const Hello& m);
 std::string encode_hello_ack(const HelloAck& m);
-std::string encode_score_request(const ScoreRequest& m,
-                                 std::uint32_t version = kProtocolVersion);
+std::string encode_score_request(const ScoreRequest& m);
 std::string encode_score_response(const ScoreResponse& m);
 std::string encode_swap_model(const SwapModel& m);
 std::string encode_swap_ack(const SwapAck& m);
@@ -193,8 +184,7 @@ std::string encode_stats_response(const StatsResponse& m);
 Hello decode_hello(std::string_view body, const std::string& context);
 HelloAck decode_hello_ack(std::string_view body, const std::string& context);
 ScoreRequest decode_score_request(std::string_view body,
-                                  const std::string& context,
-                                  std::uint32_t version = kProtocolVersion);
+                                  const std::string& context);
 ScoreResponse decode_score_response(std::string_view body,
                                     const std::string& context);
 SwapModel decode_swap_model(std::string_view body, const std::string& context);

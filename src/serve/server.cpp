@@ -259,17 +259,12 @@ void HotspotServer::session(std::shared_ptr<Socket> sock) {
       switch (frame.type) {
         case MsgType::kHello: {
           const Hello hello = decode_hello(frame.body, context);
-          // Per-session negotiation: a v2 client is acked with v2 and
-          // the session speaks the v2 ScoreRequest layout (no trace
-          // context on the wire); v3 clients get the full surface.
-          if (hello.version < kMinProtocolVersion ||
-              hello.version > kProtocolVersion) {
+          if (hello.version != kProtocolVersion) {
             send_error(*sock, ErrorCode::kBadVersion,
                        "unsupported protocol version " +
                            std::to_string(hello.version));
             return;
           }
-          ctx.version = hello.version;
           if (!hello.tenant.empty()) ctx.tenant = hello.tenant;
           // Resolve the tenant's instruments once; the per-request path
           // then records through cached pointers instead of taking the
@@ -281,7 +276,7 @@ void HotspotServer::session(std::shared_ptr<Socket> sock) {
           send_frame(*sock,
                      encode_frame(MsgType::kHelloAck,
                                   encode_hello_ack(HelloAck{
-                                      ctx.version,
+                                      kProtocolVersion,
                                       registry_.generation()})));
           break;
         }
@@ -364,8 +359,7 @@ void HotspotServer::handle_score(Socket& sock, SessionCtx& ctx,
   const bool tracing = trace::enabled();
   const std::uint64_t decode_begin = tracing ? trace::timestamp_ns() : 0;
   WallTimer stage;
-  const ScoreRequest request =
-      decode_score_request(body, "score request", ctx.version);
+  const ScoreRequest request = decode_score_request(body, "score request");
   flight.decode_ms = static_cast<float>(stage.millis());
   flight.request_id = request.request_id;
   flight.clips = static_cast<std::uint32_t>(request.clips.size());
@@ -424,8 +418,12 @@ void HotspotServer::handle_score(Socket& sock, SessionCtx& ctx,
     send_error(sock, ErrorCode::kShuttingDown, "server is draining");
     return;
   }
+  // Every reply below releases the quota before it is sent: a client
+  // that has read its answer must never observe the clips still
+  // charged (the guard only covers exceptions unwinding past here).
   QuotaGuard quota(*this, ctx.tenant, n);
   if (!begin_scoring(n)) {
+    quota.release();
     flight.error = static_cast<std::uint8_t>(ErrorCode::kBusy);
     send_busy(sock, "server at capacity (" +
                         std::to_string(config_.busy_max_inflight_clips) +
@@ -455,12 +453,14 @@ void HotspotServer::handle_score(Socket& sock, SessionCtx& ctx,
     probs = engine.score(request.clips, deadline, tid);
   } catch (const hotspot::DeadlineExceeded& e) {
     end_scoring(n);
+    quota.release();
     flight.score_ms = static_cast<float>(stage.millis());
     flight.error = static_cast<std::uint8_t>(ErrorCode::kBusy);
     send_busy(sock, e.what(), true);
     return;
   } catch (const std::bad_alloc&) {
     end_scoring(n);
+    quota.release();
     flight.score_ms = static_cast<float>(stage.millis());
     flight.error = static_cast<std::uint8_t>(ErrorCode::kInternal);
     {
@@ -476,6 +476,7 @@ void HotspotServer::handle_score(Socket& sock, SessionCtx& ctx,
   // ranked probability: answer kInternal, keep the session usable.
   for (const double p : probs) {
     if (std::isfinite(p)) continue;
+    quota.release();
     flight.error = static_cast<std::uint8_t>(ErrorCode::kInternal);
     {
       std::lock_guard<std::mutex> lk(stats_mu_);

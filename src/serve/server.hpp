@@ -32,9 +32,7 @@
 // tenant quota they held. Engine-side failures (allocation failure,
 // non-finite score) answer kInternal and leave the session usable.
 //
-// Observability (DESIGN.md §15): sessions negotiate the protocol
-// version at Hello (v2 clients keep their wire layout); a sampled v3
-// request's trace id follows it through recv/decode/quota/score/rank/
+// Observability (DESIGN.md §15): a sampled request's trace id follows it through recv/decode/quota/score/rank/
 // send and into the engine's micro-batcher, producing one span tree in
 // the common/trace buffer. Every stage records a latency histogram
 // when metrics are enabled, every completed or rejected score request
@@ -179,12 +177,10 @@ class HotspotServer {
     std::uint64_t clips = 0;     ///< clips in those requests
   };
   /// Per-session state threaded through the frame dispatch loop: the
-  /// tenant named at Hello, the negotiated protocol version, and the
-  /// tenant's metric instruments resolved once (the registry lookup
+  /// tenant named at Hello and the tenant's metric instruments resolved once (the registry lookup
   /// takes a lock; the per-request path must not).
   struct SessionCtx {
     std::string tenant = "anonymous";
-    std::uint32_t version = kProtocolVersion;
     metrics::Counter* tenant_requests = nullptr;
     metrics::Counter* tenant_clips = nullptr;
   };

@@ -134,7 +134,8 @@ TEST(HierScanTest, CachedHierScanMatchesFlatBitwise) {
   const ChipScanner scanner(band_per_row_config());
 
   InferenceEngine flat_engine(detector);
-  const ScanReport flat_report = scanner.scan(flat, flat_engine);
+  const ScanReport flat_report =
+      scanner.scan(layout::FlatSource(flat), flat_engine);
   ASSERT_EQ(flat_report.windows_scanned, 16u);
   EXPECT_EQ(flat_report.windows_from_cache, 0u);
 
@@ -169,7 +170,8 @@ TEST(HierScanTest, ShardCountNeverChangesTheReport) {
   const ChipScanner scanner(band_per_row_config());
 
   InferenceEngine flat_engine(detector);
-  const ScanReport flat_report = scanner.scan(flat, flat_engine);
+  const ScanReport flat_report =
+      scanner.scan(layout::FlatSource(flat), flat_engine);
 
   const layout::HierSource source(hier, 1);
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
@@ -188,7 +190,8 @@ TEST(HierScanTest, OverlappingAndNestedPlacementsStayBitwise) {
   const ChipScanner scanner(band_per_row_config());
 
   InferenceEngine flat_engine(detector);
-  const ScanReport flat_report = scanner.scan(flat, flat_engine);
+  const ScanReport flat_report =
+      scanner.scan(layout::FlatSource(flat), flat_engine);
   ASSERT_EQ(flat_report.windows_scanned, 16u);
 
   const layout::HierSource source(hier, 1);

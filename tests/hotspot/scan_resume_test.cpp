@@ -69,13 +69,14 @@ void expect_same_report(const ScanReport& a, const ScanReport& b) {
 
 TEST(ScanResumeTest, KilledScanResumesBitwiseIdentical) {
   const layout::Layout chip = test_chip();
+  const layout::FlatSource source(chip);
   const CnnDetector detector(small_config());
   const ChipScanner scanner(band_per_row_config());
   const std::string path = temp_path("hsdl_scan_resume_test.journal");
   std::filesystem::remove(path);
 
   InferenceEngine clean_engine(detector);
-  const ScanReport clean = scanner.scan(chip, clean_engine);
+  const ScanReport clean = scanner.scan(source, clean_engine);
   ASSERT_EQ(clean.windows_scanned, 8u);  // 2 cols x 4 rows
 
   // Kill the scan at the start of band 2: bands 0 and 1 are journaled,
@@ -86,7 +87,7 @@ TEST(ScanResumeTest, KilledScanResumesBitwiseIdentical) {
                           /*start_after=*/2, /*max_fires=*/0});
     fault::ScopedPlan armed(std::move(plan));
     InferenceEngine engine(detector);
-    EXPECT_THROW(scanner.scan_resumable(chip, engine, path), CheckError);
+    EXPECT_THROW(scanner.scan_resumable(source, engine, path), CheckError);
   }
   ASSERT_TRUE(std::filesystem::exists(path));
 
@@ -94,7 +95,7 @@ TEST(ScanResumeTest, KilledScanResumesBitwiseIdentical) {
   // each) are scored; bands 0-1 replay from the journal.
   InferenceEngine resume_engine(detector);
   const ScanReport resumed =
-      scanner.scan_resumable(chip, resume_engine, path);
+      scanner.scan_resumable(source, resume_engine, path);
   expect_same_report(clean, resumed);
   EXPECT_EQ(resume_engine.stats().requests, 4u);
   // A completed scan cleans up its resume state.

@@ -200,12 +200,14 @@ TEST(ParallelDeterminismTest, ScanReportMatchesSerialScan) {
   const hotspot::ChipScanner scanner(hotspot::ScanConfig{1200, 600});
 
   set_num_threads(1);
-  const hotspot::ScanReport reference = scanner.scan(chip, detector);
+  const hotspot::ScanReport reference =
+      scanner.scan(layout::FlatSource(chip), detector);
   EXPECT_EQ(reference.windows_scanned, 9u);
 
   for (std::size_t threads : kThreadCounts) {
     set_num_threads(threads);
-    const hotspot::ScanReport report = scanner.scan(chip, detector);
+    const hotspot::ScanReport report =
+        scanner.scan(layout::FlatSource(chip), detector);
     EXPECT_EQ(report.windows_scanned, reference.windows_scanned);
     ASSERT_EQ(report.hits.size(), reference.hits.size());
     for (std::size_t i = 0; i < report.hits.size(); ++i) {
@@ -286,12 +288,14 @@ TEST(ParallelDeterminismTest, EngineRoutedScanMatchesDetectorScan) {
   const hotspot::ChipScanner scanner(hotspot::ScanConfig{1200, 600});
 
   set_num_threads(1);
-  const hotspot::ScanReport reference = scanner.scan(chip, detector);
+  const hotspot::ScanReport reference =
+      scanner.scan(layout::FlatSource(chip), detector);
 
   for (std::size_t threads : kThreadCounts) {
     set_num_threads(threads);
     hotspot::InferenceEngine engine(detector);
-    const hotspot::ScanReport report = scanner.scan(chip, engine);
+    const hotspot::ScanReport report =
+        scanner.scan(layout::FlatSource(chip), engine);
     EXPECT_EQ(report.windows_scanned, reference.windows_scanned);
     ASSERT_EQ(report.hits.size(), reference.hits.size());
     for (std::size_t i = 0; i < report.hits.size(); ++i) {

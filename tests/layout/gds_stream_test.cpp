@@ -1,5 +1,5 @@
 // Streaming hierarchical GDSII reader (DESIGN.md §16): structural
-// round-trips against the DOM reader and flatten_cell oracle, lazy
+// round-trips against the flatten_cell oracle, lazy
 // window queries vs the flatten oracle, AREF repetition round-trips,
 // and the corruption sweep (bit flips, truncations, oversized record
 // lengths, reference cycles) — a damaged stream is rejected with a
@@ -56,10 +56,9 @@ std::string serialized(const GdsLibrary& lib) {
   return os.str();
 }
 
-HierLayout read_hier(const std::string& bytes,
-                     const GdsReadOptions& options = {}) {
+HierLayout read_hier(const std::string& bytes) {
   std::istringstream is(bytes);
-  return read_hier_gds(is, options);
+  return read_hier_gds(is);
 }
 
 std::vector<Rect> sorted(std::vector<Rect> v) {
@@ -80,7 +79,7 @@ Outcome try_read_hier(const std::string& bytes) {
   }
 }
 
-TEST(GdsStreamTest, MatchesDomReaderAndFlattenOracle) {
+TEST(GdsStreamTest, MatchesFlattenOracle) {
   const GdsLibrary lib = hier_lib();
   const HierLayout hier = read_hier(serialized(lib));
   ASSERT_EQ(hier.cells().size(), 3u);
@@ -133,15 +132,6 @@ TEST(GdsStreamTest, ArefRepetitionRoundTrips) {
   EXPECT_EQ(array.row_pitch, 250);
   EXPECT_EQ(array.instances(), 6);
   EXPECT_EQ(array.origin(2, 1), (Point{600, 250}));
-  // And through the DOM reader: the same GdsRef comes back.
-  std::istringstream is(serialized(hier_lib()));
-  const GdsLibrary loaded = read_gds(is);
-  const GdsRef& ref = loaded.cells[2].refs[0];
-  EXPECT_TRUE(ref.is_array());
-  EXPECT_EQ(ref.cols, 3);
-  EXPECT_EQ(ref.rows, 2);
-  EXPECT_EQ(ref.col_pitch, 300);
-  EXPECT_EQ(ref.row_pitch, 250);
 }
 
 // -- raw-record builders (for streams the writer cannot produce) ------------
@@ -154,6 +144,19 @@ void put_u16(std::string& s, std::uint16_t v) {
 void put_i32(std::string& s, std::int32_t v) {
   put_u16(s, static_cast<std::uint16_t>(static_cast<std::uint32_t>(v) >> 16));
   put_u16(s, static_cast<std::uint16_t>(static_cast<std::uint32_t>(v)));
+}
+
+void put_u64(std::string& s, std::uint64_t v) {
+  put_i32(s, static_cast<std::int32_t>(v >> 32));
+  put_i32(s, static_cast<std::int32_t>(v & 0xFFFFFFFFu));
+}
+
+/// UNITS payload: user unit, then database unit in meters.
+std::string units_payload(double db_unit_meters) {
+  std::string p;
+  put_u64(p, to_gds_real(1e-3));
+  put_u64(p, to_gds_real(db_unit_meters));
+  return p;
 }
 
 void rec(std::string& s, std::uint8_t type, std::uint8_t dtype,
@@ -173,7 +176,7 @@ std::string negative_pitch_stream() {
   rec(s, 0x00, 0x02, std::string("\x02\x58", 2));  // HEADER v600
   rec(s, 0x01, 0x02, std::string(24, '\0'));       // BGNLIB
   rec(s, 0x02, 0x06, "NEG");                       // LIBNAME
-  rec(s, 0x03, 0x05, std::string(16, '\0'));       // UNITS (zeros: ok)
+  rec(s, 0x03, 0x05, units_payload(1e-9));         // UNITS (1 nm)
   rec(s, 0x05, 0x02, std::string(24, '\0'));       // BGNSTR
   rec(s, 0x06, 0x06, "UNIT");                      // STRNAME
   {
@@ -326,39 +329,40 @@ TEST(GdsStreamTest, OversizedRecordLengthRejectedWithPosition) {
   }
 }
 
-TEST(GdsStreamTest, RecordBoundOptionEnforced) {
-  GdsReadOptions options;
-  options.max_record_bytes = 16;  // timestamps records are 28 bytes
-  try {
-    read_hier(serialized(hier_lib()), options);
-    FAIL() << "record above the configured bound accepted";
-  } catch (const io::IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("record bound"), std::string::npos)
-        << e.what();
+TEST(GdsStreamTest, DatabaseUnitOtherThanNanometerRejected) {
+  // 0.1 nm and 1 um files must not be scanned as if they were in nm.
+  for (const double unit : {1e-10, 1e-6}) {
+    GdsLibrary lib = hier_lib();
+    lib.db_unit_meters = unit;
+    try {
+      read_hier(serialized(lib));
+      FAIL() << "database unit " << unit << " accepted";
+    } catch (const io::IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("database unit"),
+                std::string::npos)
+          << e.what();
+      EXPECT_GT(e.offset(), 0u);
+    }
   }
-}
-
-TEST(GdsStreamTest, KeepHierarchyFalseCollapsesToFlatTop) {
-  GdsReadOptions options;
-  options.keep_hierarchy = false;
-  const HierLayout flat = read_hier(serialized(hier_lib()), options);
-  const HierLayout hier = read_hier(serialized(hier_lib()));
-  ASSERT_EQ(flat.cells().size(), 1u);
-  EXPECT_TRUE(flat.cells()[0].placements.empty());
-  EXPECT_EQ(sorted(flat.flatten(1)), sorted(hier.flatten(1)));
-  EXPECT_EQ(flat.extent(), hier.extent());
-}
-
-TEST(GdsStreamTest, LayerFilterDropsOtherLayers) {
+  // A unit within the relative tolerance of 1 nm reads.
   GdsLibrary lib = hier_lib();
-  lib.cells[2].boundaries.push_back(
-      Polygon::from_rect(Rect::from_xywh(0, 0, 10, 10)));
-  lib.cells[2].layers.push_back(2);
-  GdsReadOptions options;
-  options.layer_filter = 2;
-  const HierLayout hier = read_hier(serialized(lib), options);
-  EXPECT_EQ(hier.flatten(2).size(), 1u);
-  EXPECT_TRUE(hier.flatten(1).empty());
+  lib.db_unit_meters = 1e-9 * (1 + 1e-12);
+  EXPECT_NO_THROW(read_hier(serialized(lib)));
+}
+
+TEST(GdsStreamTest, ShortOrMissingUnitsRejected) {
+  const std::string good = negative_pitch_stream();
+  // The 20-byte UNITS record: length 0x0014, type 0x03, real8 0x05.
+  const std::size_t units_at =
+      good.find(std::string("\x00\x14\x03\x05", 4));
+  ASSERT_NE(units_at, std::string::npos);
+  std::string short_units = good.substr(0, units_at);
+  rec(short_units, 0x03, 0x05, std::string(8, '\0'));
+  short_units += good.substr(units_at + 20);
+  EXPECT_THROW(read_hier(short_units), io::IoError);
+  const std::string no_units =
+      good.substr(0, units_at) + good.substr(units_at + 20);
+  EXPECT_THROW(read_hier(no_units), io::IoError);
 }
 
 TEST(GdsStreamTest, HierFromLibraryMatchesStreamRead) {
@@ -368,6 +372,11 @@ TEST(GdsStreamTest, HierFromLibraryMatchesStreamRead) {
   EXPECT_EQ(from_stream.fingerprint(), from_lib.fingerprint());
   EXPECT_EQ(from_stream.extent(), from_lib.extent());
   EXPECT_EQ(sorted(from_stream.flatten(1)), sorted(from_lib.flatten(1)));
+  // In-memory libraries pass the checks a file does: a unit other than
+  // 1 nm is refused here too.
+  GdsLibrary coarse = lib;
+  coarse.db_unit_meters = 1e-6;
+  EXPECT_THROW(hier_from_library(coarse), io::IoError);
 }
 
 TEST(GdsStreamTest, ContentHashSharedByCongruentCells) {

@@ -1,10 +1,16 @@
+// GDSII writer and record table: 8-byte reals, write_gds -> read_hier_gds
+// round-trips, the writer's range checks, the reader's UNITS check, and
+// the flatten_cell oracle on in-memory libraries.
 #include "layout/gdsii.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/io.hpp"
+#include "layout/gds_stream.hpp"
 #include "layout/generator.hpp"
 
 namespace hsdl::layout {
@@ -47,55 +53,79 @@ Clip demo_clip() {
   return c;
 }
 
+/// One cell holding the clip's shapes on `layer`.
+GdsLibrary clip_library(const Clip& clip, std::int16_t layer = 1,
+                        const std::string& cell_name = "CLIP") {
+  GdsLibrary lib;
+  GdsCell cell;
+  cell.name = cell_name;
+  for (const Rect& r : clip.shapes) {
+    cell.boundaries.push_back(Polygon::from_rect(r));
+    cell.layers.push_back(layer);
+  }
+  lib.cells.push_back(std::move(cell));
+  return lib;
+}
+
+std::string serialized(const GdsLibrary& lib) {
+  std::ostringstream os;
+  write_gds(os, lib);
+  return os.str();
+}
+
+HierLayout round_trip(const GdsLibrary& lib) {
+  std::istringstream is(serialized(lib));
+  return read_hier_gds(is);
+}
+
+std::vector<Rect> sorted(std::vector<Rect> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+geom::Area total_area(const std::vector<Rect>& rects) {
+  geom::Area area = 0;
+  for (const Rect& r : rects) area += r.area();
+  return area;
+}
+
 TEST(GdsiiTest, ClipRoundTrip) {
   const Clip original = demo_clip();
-  std::stringstream ss;
-  write_gds(ss, clip_to_gds(original, 7, "TESTCLIP"));
-  GdsLibrary lib = read_gds(ss);
-  ASSERT_EQ(lib.cells.size(), 1u);
-  EXPECT_EQ(lib.cells[0].name, "TESTCLIP");
-  Clip loaded = gds_to_clip(lib, 7);
+  const HierLayout hier = round_trip(clip_library(original, 7, "TESTCLIP"));
+  ASSERT_EQ(hier.cells().size(), 1u);
+  EXPECT_EQ(hier.cells()[0].name, "TESTCLIP");
   // Same rectangles (decomposition of a rect boundary is itself).
-  ASSERT_EQ(loaded.shapes.size(), original.shapes.size());
-  auto sorted = [](std::vector<Rect> v) {
-    std::sort(v.begin(), v.end());
-    return v;
-  };
-  EXPECT_EQ(sorted(loaded.shapes), sorted(original.shapes));
+  EXPECT_EQ(sorted(hier.flatten(7)), sorted(original.shapes));
 }
 
 TEST(GdsiiTest, UnitsRoundTrip) {
-  GdsLibrary lib = clip_to_gds(demo_clip());
-  lib.db_unit_meters = 1e-9;
-  lib.user_unit = 1e-3;
-  std::stringstream ss;
-  write_gds(ss, lib);
-  GdsLibrary loaded = read_gds(ss);
-  EXPECT_NEAR(loaded.db_unit_meters, 1e-9, 1e-21);
-  EXPECT_NEAR(loaded.user_unit, 1e-3, 1e-15);
+  // The default library is written in the 1 nm database unit the reader
+  // requires; any other unit is refused rather than read as nm.
+  GdsLibrary lib = clip_library(demo_clip());
+  EXPECT_NO_THROW(round_trip(lib));
+  lib.db_unit_meters = 1e-10;
+  EXPECT_THROW(round_trip(lib), io::IoError);
 }
 
-TEST(GdsiiTest, LibraryNamePreserved) {
-  GdsLibrary lib = clip_to_gds(demo_clip());
+TEST(GdsiiTest, LibraryNameFencesFingerprint) {
+  GdsLibrary lib = clip_library(demo_clip());
   lib.name = "MYLIB";
-  std::stringstream ss;
-  write_gds(ss, lib);
-  EXPECT_EQ(read_gds(ss).name, "MYLIB");
+  const std::uint64_t mine = round_trip(lib).fingerprint();
+  lib.name = "OTHER";
+  EXPECT_NE(round_trip(lib).fingerprint(), mine);
 }
 
 TEST(GdsiiTest, LayerFiltering) {
   Clip c = demo_clip();
-  GdsLibrary lib = clip_to_gds(c, 1);
+  GdsLibrary lib = clip_library(c, 1);
   // Add one extra boundary on layer 2.
   lib.cells[0].boundaries.push_back(
       Polygon::from_rect(Rect::from_xywh(0, 0, 10, 10)));
   lib.cells[0].layers.push_back(2);
-  std::stringstream ss;
-  write_gds(ss, lib);
-  GdsLibrary loaded = read_gds(ss);
-  EXPECT_EQ(loaded.cells[0].rects_on_layer(1).size(), c.shapes.size());
-  EXPECT_EQ(loaded.cells[0].rects_on_layer(2).size(), 1u);
-  EXPECT_TRUE(loaded.cells[0].rects_on_layer(3).empty());
+  const HierLayout loaded = round_trip(lib);
+  EXPECT_EQ(loaded.flatten(1).size(), c.shapes.size());
+  EXPECT_EQ(loaded.flatten(2).size(), 1u);
+  EXPECT_TRUE(loaded.flatten(3).empty());
 }
 
 TEST(GdsiiTest, LShapedBoundaryDecomposes) {
@@ -106,28 +136,22 @@ TEST(GdsiiTest, LShapedBoundaryDecomposes) {
       {{0, 0}, {100, 0}, {100, 50}, {50, 50}, {50, 100}, {0, 100}}));
   cell.layers.push_back(1);
   lib.cells.push_back(cell);
-  std::stringstream ss;
-  write_gds(ss, lib);
-  GdsLibrary loaded = read_gds(ss);
-  auto rects = loaded.cells[0].rects_on_layer(1);
-  geom::Area area = 0;
-  for (const Rect& r : rects) area += r.area();
-  EXPECT_EQ(area, 100 * 100 - 50 * 50);
+  EXPECT_EQ(total_area(round_trip(lib).flatten(1)), 100 * 100 - 50 * 50);
 }
 
 TEST(GdsiiTest, MultipleCells) {
-  GdsLibrary lib = clip_to_gds(demo_clip(), 1, "A");
+  GdsLibrary lib = clip_library(demo_clip(), 1, "A");
   GdsCell second;
   second.name = "B";
   second.boundaries.push_back(
       Polygon::from_rect(Rect::from_xywh(5, 5, 20, 20)));
   second.layers.push_back(1);
   lib.cells.push_back(second);
-  std::stringstream ss;
-  write_gds(ss, lib);
-  GdsLibrary loaded = read_gds(ss);
-  ASSERT_EQ(loaded.cells.size(), 2u);
-  EXPECT_EQ(loaded.cells[1].name, "B");
+  lib.cells[0].refs.push_back({"B", {2000, 0}});
+  const HierLayout loaded = round_trip(lib);
+  ASSERT_EQ(loaded.cells().size(), 2u);
+  EXPECT_EQ(loaded.cells()[1].name, "B");
+  EXPECT_EQ(loaded.cells()[loaded.top()].name, "A");
 }
 
 TEST(GdsiiTest, NegativeCoordinates) {
@@ -138,9 +162,7 @@ TEST(GdsiiTest, NegativeCoordinates) {
       Polygon::from_rect(Rect::from_xywh(-500, -300, 100, 100)));
   cell.layers.push_back(1);
   lib.cells.push_back(cell);
-  std::stringstream ss;
-  write_gds(ss, lib);
-  auto rects = read_gds(ss).cells[0].rects_on_layer(1);
+  const std::vector<Rect> rects = round_trip(lib).flatten(1);
   ASSERT_EQ(rects.size(), 1u);
   EXPECT_EQ(rects[0].lo, (geom::Point{-500, -300}));
 }
@@ -149,15 +171,53 @@ TEST(GdsiiTest, GeneratedClipsRoundTrip) {
   GeneratorConfig cfg;
   ClipGenerator gen(cfg, 99);
   for (int i = 0; i < 5; ++i) {
-    Clip c = gen.generate();
-    std::stringstream ss;
-    write_gds(ss, clip_to_gds(c));
-    Clip loaded = gds_to_clip(read_gds(ss));
-    geom::Area orig_area = 0, loaded_area = 0;
-    for (const Rect& r : c.shapes) orig_area += r.area();
-    for (const Rect& r : loaded.shapes) loaded_area += r.area();
-    EXPECT_EQ(orig_area, loaded_area) << "clip " << i;
+    const Clip c = gen.generate();
+    EXPECT_EQ(total_area(c.shapes),
+              total_area(round_trip(clip_library(c)).flatten(1)))
+        << "clip " << i;
   }
+}
+
+/// A rectilinear staircase of 2 * steps + 2 vertices.
+Polygon staircase(geom::Coord steps) {
+  std::vector<geom::Point> ring = {{0, 0}};
+  for (geom::Coord i = 0; i < steps; ++i) {
+    ring.push_back({steps - i, i});
+    ring.push_back({steps - i, i + 1});
+  }
+  ring.push_back({0, steps});
+  return Polygon(std::move(ring));
+}
+
+TEST(GdsiiTest, WriterRejectsRecordPastTheLengthField) {
+  // A closed XY ring of n vertices takes 8 * (n + 1) + 4 bytes: 8190
+  // vertices fit the 16-bit record length, 8202 would wrap it.
+  GdsLibrary lib;
+  GdsCell cell;
+  cell.name = "STAIR";
+  cell.boundaries.push_back(staircase(4094));
+  cell.layers.push_back(1);
+  lib.cells.push_back(cell);
+  EXPECT_EQ(total_area(round_trip(lib).flatten(1)), 4094 * 4095 / 2);
+  lib.cells[0].boundaries[0] = staircase(4100);
+  std::ostringstream os;
+  EXPECT_THROW(write_gds(os, lib), CheckError);
+}
+
+TEST(GdsiiTest, WriterRejectsCoordinatesOutsideInt32) {
+  GdsLibrary lib = clip_library(demo_clip());
+  lib.cells[0].boundaries.push_back(
+      Polygon::from_rect(Rect::from_xywh(3'000'000'000, 0, 10, 10)));
+  lib.cells[0].layers.push_back(1);
+  std::ostringstream os;
+  EXPECT_THROW(write_gds(os, lib), CheckError);
+  // An AREF whose far corner (at + cols * pitch) leaves the range.
+  GdsLibrary arrayed = clip_library(demo_clip(), 1, "UNIT");
+  GdsCell top;
+  top.name = "TOP";
+  top.refs.push_back({"UNIT", {0, 0}, 30000, 1, 100'000, 0});
+  arrayed.cells.push_back(top);
+  EXPECT_THROW(write_gds(os, arrayed), CheckError);
 }
 
 GdsLibrary hierarchical_lib() {
@@ -186,14 +246,12 @@ GdsLibrary hierarchical_lib() {
 }
 
 TEST(GdsiiSrefTest, RefsRoundTrip) {
-  std::stringstream ss;
-  write_gds(ss, hierarchical_lib());
-  GdsLibrary loaded = read_gds(ss);
-  ASSERT_EQ(loaded.cells.size(), 3u);
-  const GdsCell& top = loaded.cells[2];
-  ASSERT_EQ(top.refs.size(), 2u);
-  EXPECT_EQ(top.refs[0].cell, "PAIR");
-  EXPECT_EQ(top.refs[1].at, (geom::Point{0, 200}));
+  const HierLayout loaded = round_trip(hierarchical_lib());
+  ASSERT_EQ(loaded.cells().size(), 3u);
+  const HierCell& top = loaded.cells()[2];
+  ASSERT_EQ(top.placements.size(), 2u);
+  EXPECT_EQ(loaded.cells()[top.placements[0].cell].name, "PAIR");
+  EXPECT_EQ(top.placements[1].at, (geom::Point{0, 200}));
 }
 
 TEST(GdsiiSrefTest, FlattenResolvesHierarchy) {
@@ -209,14 +267,8 @@ TEST(GdsiiSrefTest, FlattenResolvesHierarchy) {
 }
 
 TEST(GdsiiSrefTest, FlattenAfterRoundTrip) {
-  std::stringstream ss;
-  write_gds(ss, hierarchical_lib());
-  GdsLibrary loaded = read_gds(ss);
-  auto a = flatten_cell(hierarchical_lib(), "TOP", 1);
-  auto b = flatten_cell(loaded, "TOP", 1);
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(sorted(round_trip(hierarchical_lib()).flatten(1)),
+            sorted(flatten_cell(hierarchical_lib(), "TOP", 1)));
 }
 
 TEST(GdsiiSrefTest, FlattenLeafIsItsOwnGeometry) {
@@ -243,134 +295,47 @@ TEST(GdsiiSrefTest, ReferenceCycleDetected) {
 }
 
 TEST(GdsiiTest, TruncatedStreamThrows) {
-  std::stringstream ss;
-  write_gds(ss, clip_to_gds(demo_clip()));
-  const std::string full = ss.str();
-  std::stringstream cut(full.substr(0, full.size() / 2));
-  EXPECT_THROW(read_gds(cut), hsdl::CheckError);
+  const std::string full = serialized(clip_library(demo_clip()));
+  std::istringstream cut(full.substr(0, full.size() / 2));
+  EXPECT_THROW(read_hier_gds(cut), CheckError);
 }
 
 TEST(GdsiiTest, EmptyStreamThrows) {
-  std::stringstream ss("");
-  EXPECT_THROW(read_gds(ss), hsdl::CheckError);
+  std::istringstream is("");
+  EXPECT_THROW(read_hier_gds(is), CheckError);
 }
 
 TEST(GdsiiTest, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/clip.gds";
-  write_gds_file(path, clip_to_gds(demo_clip()));
-  Clip loaded = gds_to_clip(read_gds_file(path));
-  EXPECT_EQ(loaded.shapes.size(), demo_clip().shapes.size());
+  write_gds_file(path, clip_library(demo_clip()));
+  EXPECT_EQ(read_hier_gds_file(path).flatten(1).size(),
+            demo_clip().shapes.size());
 }
 
 TEST(GdsiiTest, UnknownRecordsSkipped) {
-  // Inject a TEXT-ish record (type 0x0C) between elements; reader must
-  // skip it.
-  std::stringstream ss;
-  write_gds(ss, clip_to_gds(demo_clip()));
-  std::string data = ss.str();
-  // Append before ENDLIB (last 4 bytes): a 4-byte unknown record.
-  std::string unknown = {0x00, 0x04, 0x0C, 0x00};
-  data.insert(data.size() - 4, unknown);
-  std::stringstream patched(data);
-  EXPECT_NO_THROW(read_gds(patched));
-}
-
-TEST(GdsReadOptionsTest, ValidateRejectsNonsense) {
-  GdsReadOptions options;
-  EXPECT_NO_THROW(options.validate());
-  options.max_record_bytes = 3;  // smaller than a record header
-  EXPECT_THROW(options.validate(), hsdl::CheckError);
-  options = {};
-  options.max_record_bytes = 70000;  // beyond the 16-bit length field
-  EXPECT_THROW(options.validate(), hsdl::CheckError);
-  options = {};
-  options.layer_filter = 70000;  // beyond the 16-bit layer range
-  EXPECT_THROW(options.validate(), hsdl::CheckError);
-  options.layer_filter = -1;  // negative = keep all: valid
-  EXPECT_NO_THROW(options.validate());
-}
-
-TEST(GdsReadOptionsTest, InvalidOptionsRejectedOnRead) {
-  std::stringstream ss;
-  write_gds(ss, clip_to_gds(demo_clip()));
-  GdsReadOptions options;
-  options.max_record_bytes = 2;
-  EXPECT_THROW(read_gds(ss, options), hsdl::CheckError);
-}
-
-TEST(GdsReadOptionsTest, LayerFilterKeepsOnlyThatLayer) {
-  GdsLibrary lib = clip_to_gds(demo_clip(), 1);
-  lib.cells[0].boundaries.push_back(
-      Polygon::from_rect(Rect::from_xywh(0, 0, 10, 10)));
-  lib.cells[0].layers.push_back(2);
-  std::stringstream ss;
-  write_gds(ss, lib);
-  GdsReadOptions options;
-  options.layer_filter = 2;
-  GdsLibrary loaded = read_gds(ss, options);
-  EXPECT_EQ(loaded.cells[0].rects_on_layer(2).size(), 1u);
-  EXPECT_TRUE(loaded.cells[0].rects_on_layer(1).empty());
-}
-
-TEST(GdsReadOptionsTest, MaxRecordBytesBoundsRecords) {
-  std::stringstream ss;
-  write_gds(ss, clip_to_gds(demo_clip()));
-  GdsReadOptions options;
-  options.max_record_bytes = 16;  // BGNLIB timestamps are 28 bytes
-  EXPECT_THROW(read_gds(ss, options), hsdl::CheckError);
-}
-
-TEST(GdsReadOptionsTest, StrictModeAcceptsOwnOutput) {
-  std::stringstream ss;
-  write_gds(ss, hierarchical_lib());
-  GdsReadOptions options;
-  options.skip_unknown = false;
-  EXPECT_NO_THROW(read_gds(ss, options));
-}
-
-TEST(GdsReadOptionsTest, StrictModeRejectsUnknownRecords) {
-  std::stringstream ss;
-  write_gds(ss, clip_to_gds(demo_clip()));
-  std::string data = ss.str();
+  // Inject a TEXT-ish record (type 0x0C) before ENDLIB (the last 4
+  // bytes); the reader must skip it.
+  std::string data = serialized(clip_library(demo_clip()));
   const std::string unknown = {0x00, 0x04, 0x0C, 0x00};
   data.insert(data.size() - 4, unknown);
-  std::stringstream patched(data);
-  GdsReadOptions options;
-  options.skip_unknown = false;
-  EXPECT_THROW(read_gds(patched, options), hsdl::CheckError);
-}
-
-TEST(GdsReadOptionsTest, KeepHierarchyFalseReturnsFlatTop) {
-  std::stringstream ss;
-  write_gds(ss, hierarchical_lib());
-  GdsReadOptions options;
-  options.keep_hierarchy = false;
-  GdsLibrary loaded = read_gds(ss, options);
-  ASSERT_EQ(loaded.cells.size(), 1u);
-  EXPECT_TRUE(loaded.cells[0].refs.empty());
-  auto flat = loaded.cells[0].rects_on_layer(1);
-  auto want = flatten_cell(hierarchical_lib(), "TOP", 1);
-  std::sort(flat.begin(), flat.end());
-  std::sort(want.begin(), want.end());
-  EXPECT_EQ(flat, want);
+  std::istringstream patched(data);
+  EXPECT_NO_THROW(read_hier_gds(patched));
 }
 
 TEST(GdsiiSrefTest, ArefRoundTripsThroughWriteRead) {
   GdsLibrary lib = hierarchical_lib();
   lib.cells[2].refs.push_back({"VIA", {1000, 0}, 4, 3, 80, 60});
-  std::stringstream ss;
-  write_gds(ss, lib);
-  GdsLibrary loaded = read_gds(ss);
-  const GdsRef& ref = loaded.cells[2].refs[2];
-  EXPECT_TRUE(ref.is_array());
+  const HierLayout loaded = round_trip(lib);
+  const HierPlacement& ref = loaded.cells()[2].placements[2];
   EXPECT_EQ(ref.cols, 4);
   EXPECT_EQ(ref.rows, 3);
   EXPECT_EQ(ref.col_pitch, 80);
   EXPECT_EQ(ref.row_pitch, 60);
   EXPECT_EQ(ref.instances(), 12);
   // Flatten expands the repetition: 5 original + 12 array VIAs.
-  auto rects = flatten_cell(loaded, "TOP", 1);
+  const std::vector<Rect> rects = loaded.flatten(1);
   EXPECT_EQ(rects.size(), 17u);
+  EXPECT_EQ(sorted(rects), sorted(flatten_cell(lib, "TOP", 1)));
   bool found = false;
   for (const Rect& r : rects)
     found |= r == Rect::from_xywh(1000 + 3 * 80, 2 * 60, 40, 40);

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/io.hpp"
 
 namespace hsdl::layout {
 namespace {
@@ -23,6 +24,16 @@ std::vector<LabeledClip> sample_clips() {
   clips[1].clip.shapes = {Rect::from_xywh(150, 150, 60, 60)};
   clips[1].label = HotspotLabel::kNonHotspot;
   return clips;
+}
+
+/// Wraps a hand-written clip body in a valid GLF 2 header, so body
+/// grammar errors surface past the container checks.
+std::string glf2(const std::string& body, std::size_t clips = 0) {
+  char crc[9];
+  std::snprintf(crc, sizeof(crc), "%08x", io::crc32(body));
+  return "GLF 2 crc32=" + std::string(crc) +
+         " bytes=" + std::to_string(body.size()) +
+         " clips=" + std::to_string(clips) + "\n" + body;
 }
 
 TEST(GlfTest, RoundTripPreservesEverything) {
@@ -56,14 +67,14 @@ TEST(GlfTest, EmptyClipListRoundTrips) {
 }
 
 TEST(GlfTest, CommentsAndBlankLinesIgnored) {
-  std::stringstream ss(
-      "GLF 1\n"
+  std::stringstream ss(glf2(
       "# a comment\n"
       "\n"
       "CLIP 0 0 100 100 hotspot\n"
       "  # indented comment\n"
       "RECT 1 2 3 4\n"
-      "ENDCLIP\n");
+      "ENDCLIP\n",
+      1));
   auto clips = read_glf(ss);
   ASSERT_EQ(clips.size(), 1u);
   EXPECT_EQ(clips[0].clip.shapes[0], Rect::from_xywh(1, 2, 3, 4));
@@ -80,39 +91,39 @@ TEST(GlfTest, EmptyStreamThrows) {
 }
 
 TEST(GlfTest, UnterminatedClipThrows) {
-  std::stringstream ss("GLF 1\nCLIP 0 0 10 10 none\nRECT 0 0 1 1\n");
+  std::stringstream ss(glf2("CLIP 0 0 10 10 none\nRECT 0 0 1 1\n"));
   EXPECT_THROW(read_glf(ss), hsdl::CheckError);
 }
 
 TEST(GlfTest, NestedClipThrows) {
   std::stringstream ss(
-      "GLF 1\nCLIP 0 0 10 10 none\nCLIP 0 0 10 10 none\n");
+      glf2("CLIP 0 0 10 10 none\nCLIP 0 0 10 10 none\n"));
   EXPECT_THROW(read_glf(ss), hsdl::CheckError);
 }
 
 TEST(GlfTest, RectOutsideClipThrows) {
-  std::stringstream ss("GLF 1\nRECT 0 0 1 1\n");
+  std::stringstream ss(glf2("RECT 0 0 1 1\n"));
   EXPECT_THROW(read_glf(ss), hsdl::CheckError);
 }
 
 TEST(GlfTest, BadLabelThrows) {
-  std::stringstream ss("GLF 1\nCLIP 0 0 10 10 maybe\nENDCLIP\n");
+  std::stringstream ss(glf2("CLIP 0 0 10 10 maybe\nENDCLIP\n"));
   EXPECT_THROW(read_glf(ss), hsdl::CheckError);
 }
 
 TEST(GlfTest, NonPositiveExtentThrows) {
   std::stringstream ss(
-      "GLF 1\nCLIP 0 0 10 10 none\nRECT 0 0 0 5\nENDCLIP\n");
+      glf2("CLIP 0 0 10 10 none\nRECT 0 0 0 5\nENDCLIP\n"));
   EXPECT_THROW(read_glf(ss), hsdl::CheckError);
 }
 
 TEST(GlfTest, UnknownTokenThrows) {
-  std::stringstream ss("GLF 1\nBOGUS 1 2 3\n");
+  std::stringstream ss(glf2("BOGUS 1 2 3\n"));
   EXPECT_THROW(read_glf(ss), hsdl::CheckError);
 }
 
 TEST(GlfTest, ErrorMessageIncludesLineNumber) {
-  std::stringstream ss("GLF 1\nCLIP 0 0 10 10 bogus\n");
+  std::stringstream ss(glf2("CLIP 0 0 10 10 bogus\n"));
   try {
     read_glf(ss);
     FAIL();
@@ -134,8 +145,8 @@ TEST(GlfTest, MissingFileThrows) {
 }
 
 TEST(GlfTest, NegativeCoordinatesSupported) {
-  std::stringstream ss(
-      "GLF 1\nCLIP -100 -100 200 200 none\nRECT -50 -50 30 30\nENDCLIP\n");
+  std::stringstream ss(glf2(
+      "CLIP -100 -100 200 200 none\nRECT -50 -50 30 30\nENDCLIP\n", 1));
   auto clips = read_glf(ss);
   EXPECT_EQ(clips[0].clip.window.lo.x, -100);
   EXPECT_EQ(clips[0].clip.shapes[0].lo, (geom::Point{-50, -50}));
@@ -190,7 +201,7 @@ TEST(GlfTest, ClipCountMismatchRejected) {
 TEST(GlfTest, BadIntegerRejectedWithLineNumber) {
   // std::stoll would have parsed "1x0" as 1; the full-match parser
   // rejects it inside the positioned CheckError taxonomy.
-  std::stringstream ss("GLF 1\nCLIP 0 0 1x0 10 none\nENDCLIP\n");
+  std::stringstream ss(glf2("CLIP 0 0 1x0 10 none\nENDCLIP\n"));
   try {
     read_glf(ss);
     FAIL() << "malformed integer accepted";
@@ -201,16 +212,21 @@ TEST(GlfTest, BadIntegerRejectedWithLineNumber) {
   }
 }
 
-TEST(GlfTest, LegacyGlf1StillLoads) {
+TEST(GlfTest, Glf1RejectedWithPosition) {
+  // GLF 1 had no checksum; it is no longer read.
   std::stringstream ss(
       "GLF 1\n"
       "CLIP 0 0 100 100 hotspot\n"
       "RECT 10 20 30 40\n"
       "ENDCLIP\n");
-  auto clips = read_glf(ss);
-  ASSERT_EQ(clips.size(), 1u);
-  EXPECT_EQ(clips[0].clip.shapes[0], Rect::from_xywh(10, 20, 30, 40));
-  EXPECT_EQ(clips[0].label, HotspotLabel::kHotspot);
+  try {
+    read_glf(ss);
+    FAIL() << "GLF 1 file accepted";
+  } catch (const io::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("GLF 2"), std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.offset(), 0u);
+  }
 }
 
 TEST(GlfTest, FileWriteLeavesNoTempBehind) {

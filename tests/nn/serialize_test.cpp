@@ -157,9 +157,8 @@ TEST(SerializeTest, TrailingBytesRejectedV2) {
   EXPECT_THROW(load_params(ss, b.params()), CheckError);
 }
 
-/// Hand-built legacy v1 image: "HSDLNN1\n", native-endian u64 fields,
-/// raw float payloads, no checksums — exactly what the old writer
-/// emitted.
+/// Hand-built v1 image: "HSDLNN1\n", native-endian u64 fields, raw
+/// float payloads, no checksums — exactly what the v1 writer emitted.
 std::string v1_bytes(const std::vector<Param*>& params) {
   std::string out("HSDLNN1\n", 8);
   auto put_u64 = [&out](std::uint64_t v) {
@@ -179,21 +178,25 @@ std::string v1_bytes(const std::vector<Param*>& params) {
   return out;
 }
 
-TEST(SerializeTest, LegacyV1CheckpointStillLoads) {
+TEST(SerializeTest, V1CheckpointRejectedWithPosition) {
+  // v1 had no checksums; it is no longer read. The load fails on the
+  // magic, with the offset where decoding stopped, and leaves the
+  // target network untouched.
   Sequential a = make_net(23);
   Sequential b = make_net(24);
-  deserialize_params(v1_bytes(a.params()), b.params());
-  auto pa = a.params(), pb = b.params();
-  for (std::size_t i = 0; i < pa.size(); ++i)
-    for (std::size_t j = 0; j < pa[i]->value.numel(); ++j)
-      EXPECT_FLOAT_EQ(pa[i]->value[j], pb[i]->value[j]);
-}
-
-TEST(SerializeTest, TrailingBytesRejectedV1) {
-  Sequential a = make_net(25);
-  Sequential b = make_net(26);
-  EXPECT_THROW(deserialize_params(v1_bytes(a.params()) + "z", b.params()),
-               CheckError);
+  const std::vector<Tensor> before = snapshot_params(b.params());
+  try {
+    deserialize_params(v1_bytes(a.params()), b.params());
+    FAIL() << "v1 checkpoint accepted";
+  } catch (const io::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.offset(), 8u);
+  }
+  auto pb = b.params();
+  for (std::size_t i = 0; i < pb.size(); ++i)
+    for (std::size_t j = 0; j < pb[i]->value.numel(); ++j)
+      EXPECT_EQ(pb[i]->value[j], before[i][j]);
 }
 
 TEST(SerializeTest, InterruptedSaveLeavesPreviousCheckpointIntact) {

@@ -143,12 +143,12 @@ TEST(ChaosTest, ExpiredDeadlineRejectedBusyWithoutEngineSlot) {
     EXPECT_EQ(e.code(), ErrorCode::kBusy);
     EXPECT_EQ(e.retry_after_ms(), ServeConfig{}.retry_after_ms);
   }
+  EXPECT_EQ(server.tenant_inflight("deadline"), 0u);
   ServerStats stats = server.stats();
   EXPECT_EQ(stats.busy_rejections, 1u);
   EXPECT_EQ(stats.deadline_rejections, 1u);
   // Rejected before quota and before the engine: nothing was scored.
   EXPECT_EQ(stats.clips_scored, 0u);
-  EXPECT_EQ(server.tenant_inflight("deadline"), 0u);
 
   // Same session, fault spent: an undeadlined request serves normally.
   EXPECT_EQ(client.score(clips).hits.size(), clips.size());
@@ -238,6 +238,7 @@ TEST(ChaosTest, NanScoreNeverReachesClientAsAProbability) {
   } catch (const ServerError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kInternal);
   }
+  EXPECT_EQ(server.tenant_inflight("nan"), 0u);
   const ScoreResponse response = client.score(clips);
   ASSERT_EQ(response.hits.size(), clips.size());
   for (const RankedHit& h : response.hits)

@@ -3,8 +3,8 @@
 // one trace id; the live stats snapshot is strict-parseable JSON with
 // the documented schema; the flight recorder retains the last N
 // requests (including rejections) and dumps re-parseable JSONL on
-// drain; a raw v2 client keeps its wire layout against a v3 server; and
-// score_with_retry surfaces its retry/reconnect/backoff accounting.
+// drain; a Hello offering any version but the current one is refused;
+// and score_with_retry surfaces its retry/reconnect/backoff accounting.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -85,7 +85,6 @@ TEST_F(ObservabilityTest, SampledRequestStitchesOneSpanTree) {
   HotspotServer server(registry, ServeConfig{});
 
   ServeClient client("127.0.0.1", server.port(), "traced-tenant");
-  ASSERT_EQ(client.negotiated_version(), kProtocolVersion);
   client.set_tracing(true);
   const std::uint64_t tid = client.next_trace_id();
   ASSERT_NE(tid, 0u);
@@ -238,49 +237,28 @@ TEST_F(ObservabilityTest, FlightRecorderKeepsLastNAndDumpsOnDrain) {
   std::remove(dump_path.c_str());
 }
 
-TEST_F(ObservabilityTest, RawV2ClientNegotiatesAndScores) {
+TEST_F(ObservabilityTest, OtherProtocolVersionsRejectedWithBadVersion) {
   ModelRegistry registry(small_config(), hotspot::EngineConfig{});
   registry.install(make_detector(1), "gen1");
   HotspotServer server(registry, ServeConfig{});
 
-  // A legacy client offering version 2 gets a version-2 ack and then
-  // speaks the v2 ScoreRequest layout (no trace context bytes).
-  Socket sock = Socket::connect("127.0.0.1", server.port());
-  std::string buf;
-  Hello hello;
-  hello.version = 2;
-  hello.tenant = "legacy";
-  send_frame(sock, encode_frame(MsgType::kHello, encode_hello(hello)));
-  ASSERT_TRUE(recv_frame(sock, buf, "v2 hello ack"));
-  Frame frame = decode_frame(buf, "v2 hello ack");
-  ASSERT_EQ(frame.type, MsgType::kHelloAck);
-  const HelloAck ack = decode_hello_ack(frame.body, "v2 hello ack");
-  EXPECT_EQ(ack.version, 2u);
-
-  ScoreRequest req;
-  req.request_id = 9;
-  req.clips = make_clips(2, 60);
-  send_frame(sock, encode_frame(MsgType::kScoreRequest,
-                                encode_score_request(req, 2)));
-  ASSERT_TRUE(recv_frame(sock, buf, "v2 score response"));
-  frame = decode_frame(buf, "v2 score response");
-  ASSERT_EQ(frame.type, MsgType::kScoreResponse);
-  const ScoreResponse resp =
-      decode_score_response(frame.body, "v2 score response");
-  EXPECT_EQ(resp.request_id, 9u);
-  EXPECT_EQ(resp.hits.size(), 2u);
-  send_frame(sock, encode_frame(MsgType::kBye, ""));
-
-  // Versions outside [min, current] are rejected with kBadVersion.
-  Socket old_sock = Socket::connect("127.0.0.1", server.port());
-  hello.version = 1;
-  send_frame(old_sock,
-             encode_frame(MsgType::kHello, encode_hello(hello)));
-  ASSERT_TRUE(recv_frame(old_sock, buf, "v1 hello reply"));
-  frame = decode_frame(buf, "v1 hello reply");
-  ASSERT_EQ(frame.type, MsgType::kError);
-  EXPECT_EQ(decode_error(frame.body, "v1 hello reply").code,
-            ErrorCode::kBadVersion);
+  // A v2 client (no trace context on the wire), an older one and a
+  // newer one are each answered kBadVersion; only the current version
+  // is spoken.
+  for (const std::uint32_t version : {1u, 2u, kProtocolVersion + 1}) {
+    Socket sock = Socket::connect("127.0.0.1", server.port());
+    std::string buf;
+    Hello hello;
+    hello.version = version;
+    hello.tenant = "legacy";
+    send_frame(sock, encode_frame(MsgType::kHello, encode_hello(hello)));
+    ASSERT_TRUE(recv_frame(sock, buf, "hello reply"));
+    const Frame frame = decode_frame(buf, "hello reply");
+    ASSERT_EQ(frame.type, MsgType::kError) << "version " << version;
+    EXPECT_EQ(decode_error(frame.body, "hello reply").code,
+              ErrorCode::kBadVersion)
+        << "version " << version;
+  }
 }
 
 TEST_F(ObservabilityTest, RetryStatsSurfaceReconnectAccounting) {

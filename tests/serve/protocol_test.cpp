@@ -58,43 +58,25 @@ TEST(ProtocolTest, ScoreRequestRoundTrips) {
   EXPECT_EQ(out.clips[1].shapes, request.clips[1].shapes);
 }
 
-TEST(ProtocolTest, ScoreRequestCarriesTraceContextOnV3) {
+TEST(ProtocolTest, ScoreRequestCarriesTraceContext) {
   ScoreRequest request = sample_request();
   request.trace_id = 0xdeadbeefcafef00dull;
   request.sampled = true;
-  const std::string body = encode_score_request(request, 3);
-  const ScoreRequest out = decode_score_request(body, "test", 3);
+  const std::string body = encode_score_request(request);
+  const ScoreRequest out = decode_score_request(body, "test");
   EXPECT_EQ(out.trace_id, 0xdeadbeefcafef00dull);
   EXPECT_TRUE(out.sampled);
   EXPECT_EQ(out.request_id, request.request_id);
   ASSERT_EQ(out.clips.size(), request.clips.size());
 }
 
-TEST(ProtocolTest, ScoreRequestCrossVersionRoundTrips) {
-  // v2 layout has no trace fields: a v2 encoding decoded as v2 yields
-  // default trace context; the same message encoded as v3 is longer by
-  // exactly the u64 id + u8 flag.
-  ScoreRequest request = sample_request();
-  request.trace_id = 77;
-  request.sampled = true;
-  const std::string v2 = encode_score_request(request, 2);
-  const std::string v3 = encode_score_request(request, 3);
-  EXPECT_EQ(v3.size(), v2.size() + 9);
-  const ScoreRequest out2 = decode_score_request(v2, "test", 2);
-  EXPECT_EQ(out2.trace_id, 0u);
-  EXPECT_FALSE(out2.sampled);
-  EXPECT_EQ(out2.request_id, request.request_id);
-  EXPECT_EQ(out2.deadline_ms, request.deadline_ms);
-  ASSERT_EQ(out2.clips.size(), request.clips.size());
-  EXPECT_EQ(out2.clips[1].shapes, request.clips[1].shapes);
-
-  // Version mismatch between encoder and decoder must not be silently
-  // accepted: the v3 body is 9 bytes longer than the v2 decoder
-  // expects (trailing-garbage check), and the v2 body runs the v3
-  // decoder out of bounds — both positioned failures, never a
-  // misparsed request.
-  EXPECT_THROW(decode_score_request(v3, "test", 2), io::IoError);
-  EXPECT_THROW(decode_score_request(v2, "test", 3), io::IoError);
+TEST(ProtocolTest, ScoreRequestWithoutTraceContextRejected) {
+  // The pre-v3 layout had no trace id + sampled flag (9 bytes after
+  // deadline_ms). Such a body must fail with a positioned error, never
+  // decode as a misparsed request.
+  std::string body = encode_score_request(sample_request());
+  body.erase(8 + 4, 9);
+  EXPECT_THROW(decode_score_request(body, "test"), io::IoError);
 }
 
 TEST(ProtocolTest, StatsResponseRoundTrips) {
@@ -111,11 +93,11 @@ TEST(ProtocolTest, StatsResponseRoundTrips) {
 TEST(ProtocolTest, DecodeRejectsBadSampledFlag) {
   ScoreRequest request = sample_request();
   request.sampled = true;
-  std::string body = encode_score_request(request, 3);
+  std::string body = encode_score_request(request);
   // The sampled flag sits right after request_id (u64) + deadline_ms
   // (u32) + trace_id (u64).
   body[8 + 4 + 8] = 2;
-  EXPECT_THROW(decode_score_request(body, "test", 3), io::IoError);
+  EXPECT_THROW(decode_score_request(body, "test"), io::IoError);
 }
 
 TEST(ProtocolTest, ScoreResponseRoundTrips) {
