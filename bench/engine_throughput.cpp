@@ -167,11 +167,11 @@ int main() {
   std::printf("  engine:    %6.1f clips/s (%.3f s)  speedup %.2fx\n",
               engine_cps, engine_s, engine_cps / serial_cps);
   std::printf(
-      "    batches %llu (full %llu, timeout %llu, drain %llu, inline %llu)"
+      "    batches %llu (full %llu, idle %llu, drain %llu, inline %llu)"
       "  arena: %llu allocs, %llu reuses, %zu bytes\n",
       static_cast<unsigned long long>(stats.batches),
       static_cast<unsigned long long>(stats.flush_full),
-      static_cast<unsigned long long>(stats.flush_timeout),
+      static_cast<unsigned long long>(stats.flush_idle),
       static_cast<unsigned long long>(stats.flush_drain),
       static_cast<unsigned long long>(stats.inline_batches),
       static_cast<unsigned long long>(stats.arena_allocations),
@@ -295,7 +295,7 @@ int main() {
      << ", \"max_batch\": " << engine_cfg.max_batch
      << ", \"batches\": " << stats.batches
      << ", \"flush_full\": " << stats.flush_full
-     << ", \"flush_timeout\": " << stats.flush_timeout
+     << ", \"flush_idle\": " << stats.flush_idle
      << ", \"flush_drain\": " << stats.flush_drain
      << ", \"inline_batches\": " << stats.inline_batches
      << ", \"arena_allocations\": " << stats.arena_allocations

@@ -188,7 +188,7 @@ int main() {
     os << "    {\"shards\": " << p.shards << ", \"seconds\": " << p.seconds
        << ", \"windows_per_second\": " << p.windows_per_second
        << ", \"windows_from_cache\": " << p.from_cache
-       << ", \"cache_hit_rate\": " << p.hit_rate
+       << ", \"cache_lookup_hit_rate\": " << p.hit_rate
        << ", \"vm_hwm_after_kb\": " << p.vm_hwm_after_kb << "}"
        << (i + 1 < phases.size() ? "," : "") << "\n";
   }

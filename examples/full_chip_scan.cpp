@@ -150,7 +150,7 @@ int main() {
                   json::Value(hier_report.windows_scanned));
     hier_scan.set("windows_from_cache",
                   json::Value(hier_report.windows_from_cache));
-    hier_scan.set("cache_hit_rate", json::Value(reuse));
+    hier_scan.set("window_reuse_fraction", json::Value(reuse));
     hier_scan.set("windows_per_second",
                   json::Value(hier_report.windows_per_second()));
     run.add("hier_scan", std::move(hier_scan));

@@ -205,6 +205,23 @@ std::string CnnDetector::fingerprint() const {
   return os.str();
 }
 
+std::uint64_t CnnDetector::model_fingerprint(bool quantized) const {
+  // Same fallback as score_batch: int8 only when a quantized net exists.
+  const bool int8 = quantized && quantized_ != nullptr;
+  io::ByteWriter w;
+  w.str(fingerprint());
+  // The raw weights, not serialize_params(): that container ends in a
+  // CRC of itself, and a CRC over such a buffer is the same for any
+  // weights of the same size. params() is non-const only because
+  // training mutates through it; this just reads.
+  for (const nn::Param* p : const_cast<HotspotCnn&>(model_).net().params())
+    w.f32_array(p->value.data(), p->value.numel());
+  w.f64(decision_threshold());
+  w.u8(int8 ? 1 : 0);
+  if (int8) w.u32(quantized_->fingerprint());
+  return io::crc32(w.buffer());
+}
+
 void CnnDetector::save(const std::string& path) {
   // Fingerprint line, then the v2 parameter container; the whole bundle
   // is written atomically so a crash mid-save cannot clobber the

@@ -8,6 +8,7 @@
 //                               online refinement pass (ICCAD'16 [5])
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -156,6 +157,13 @@ class CnnDetector final : public Detector {
   /// back to fp32 when no quantized net has been built.
   nn::Tensor score_batch(const nn::Tensor& x, nn::WorkspaceArena& ws,
                          bool quantized) const;
+
+  /// Identity of the model that score_batch(x, ws, quantized) runs: the
+  /// feature/architecture fingerprint, the fp32 weights, the decision
+  /// threshold and the scoring mode, plus the int8 net's weights and
+  /// scales when that mode is int8. Resumable scan state binds to it,
+  /// so results scored by one model are never merged into another's.
+  std::uint64_t model_fingerprint(bool quantized) const;
 
   /// Saves the trained weights plus the feature/architecture fingerprint;
   /// load() verifies the fingerprint so a checkpoint cannot be restored

@@ -38,12 +38,20 @@ void emit_batch_spans(const char* name, std::uint64_t begin_ns,
   if (!any) trace::emit(name, begin_ns, end_ns, 0);
 }
 
+/// The i-th of a run of Clips laid out `stride` bytes apart (a Clip
+/// array, or the `clip` members of a LabeledClip array).
+const layout::Clip* clip_at(const layout::Clip* first, std::size_t stride,
+                            std::size_t i) {
+  return reinterpret_cast<const layout::Clip*>(
+      reinterpret_cast<const unsigned char*>(first) + i * stride);
+}
+
 const char* reason_name(FlushReason r) {
   switch (r) {
     case FlushReason::kFull:
       return "full";
-    case FlushReason::kTimeout:
-      return "timeout";
+    case FlushReason::kIdle:
+      return "idle";
     case FlushReason::kDrain:
       return "drain";
     case FlushReason::kInline:
@@ -56,9 +64,6 @@ const char* reason_name(FlushReason r) {
 
 void EngineConfig::validate() const {
   HSDL_CHECK_MSG(max_batch > 0, "engine config: max_batch must be positive");
-  HSDL_CHECK_MSG(max_wait_ms >= 0.0,
-                 "engine config: max_wait_ms must be non-negative, got "
-                     << max_wait_ms);
   HSDL_CHECK_MSG(queue_capacity >= max_batch,
                  "engine config: queue_capacity ("
                      << queue_capacity
@@ -85,7 +90,7 @@ InferenceEngine::InferenceEngine(const CnnDetector& detector,
   // Single-worker collapse: with one pool worker the batcher/forward
   // threads would only time-slice the caller's core, so don't spawn
   // them; score() runs the same slab/arena code synchronously instead.
-  inline_mode_ = config_.inline_when_serial && num_threads() <= 1;
+  inline_mode_ = num_threads() <= 1;
   if (!inline_mode_) {
     batcher_ = std::thread([this] { batcher_loop(); });
     forward_ = std::thread([this] { forward_loop(); });
@@ -102,32 +107,53 @@ std::vector<double> InferenceEngine::score(
   return out;
 }
 
-bool InferenceEngine::enqueue(const layout::Clip* clip, double* out,
-                              Completion* done,
-                              std::chrono::steady_clock::time_point deadline,
-                              std::uint64_t trace_id) {
+std::size_t InferenceEngine::submit(
+    const layout::Clip* first, std::size_t clip_stride, std::size_t n,
+    double* out, Completion* done,
+    std::chrono::steady_clock::time_point deadline, std::uint64_t trace_id) {
   // The trace-clock read happens only for sampled requests while
   // tracing is on, so the disarmed submission path stays clock-free.
   const std::uint64_t enqueue_ns =
       trace_id != 0 && trace::enabled() ? trace::timestamp_ns() : 0;
-  {
-    std::unique_lock<std::mutex> lk(queue_mu_);
+  std::unique_lock<std::mutex> lk(queue_mu_);
+  ++open_submissions_;
+  // Closes the submission on every exit path (all queued, stopping, or
+  // a throw) and wakes the batcher, which may be holding a partial
+  // batch open for this submission's clips.
+  struct Close {
+    InferenceEngine& engine;
+    std::unique_lock<std::mutex>& lk;
+    ~Close() {
+      if (!lk.owns_lock()) lk.lock();
+      --engine.open_submissions_;
+      lk.unlock();
+      engine.queue_cv_.notify_one();
+    }
+  } close{*this, lk};
+  std::size_t submitted = 0;
+  while (submitted < n) {
     space_cv_.wait(lk, [&] {
       return stopping_ || queue_.size() < config_.queue_capacity;
     });
-    if (stopping_) return false;
-    queue_.push_back(Request{clip, out, done,
-                             std::chrono::steady_clock::now(), deadline,
-                             trace_id, enqueue_ns});
-    ++requests_;
+    if (stopping_) break;
+    const std::size_t chunk =
+        std::min(n - submitted, config_.queue_capacity - queue_.size());
+    const auto now = std::chrono::steady_clock::now();
+    for (std::size_t i = submitted; i < submitted + chunk; ++i)
+      queue_.push_back(Request{clip_at(first, clip_stride, i), out + i, done,
+                               now, deadline, trace_id, enqueue_ns});
+    submitted += chunk;
+    requests_ += chunk;
     max_queue_depth_ = std::max(max_queue_depth_, queue_.size());
     if (metrics::enabled()) {
       static metrics::Gauge& depth = metrics::gauge("engine.queue_depth");
       depth.set(static_cast<double>(queue_.size()));
     }
+    // The last chunk's wake-up comes from Close, once the submission no
+    // longer counts as open.
+    if (submitted < n) queue_cv_.notify_one();
   }
-  queue_cv_.notify_one();
-  return true;
+  return submitted;
 }
 
 void InferenceEngine::wait_and_check(Completion& done, std::size_t submitted,
@@ -166,19 +192,8 @@ void InferenceEngine::score_into(
   if (fault::armed()) fault::alloc_guard("engine.score.alloc");
   if (deadline != kNoDeadline && std::chrono::steady_clock::now() >= deadline)
     throw DeadlineExceeded("deadline already expired at submission");
-  if (inline_mode_) {
-    score_inline(clips.data(), sizeof(layout::Clip), clips.size(),
-                 out.data(), trace_id);
-    return;
-  }
-  Completion done;
-  done.remaining = clips.size();
-  std::size_t submitted = 0;
-  while (submitted < clips.size() &&
-         enqueue(&clips[submitted], &out[submitted], &done, deadline,
-                 trace_id))
-    ++submitted;
-  wait_and_check(done, submitted, clips.size());
+  score_clips(clips.data(), sizeof(layout::Clip), clips.size(), out.data(),
+              deadline, trace_id);
 }
 
 std::vector<double> InferenceEngine::score_labeled(
@@ -187,20 +202,24 @@ std::vector<double> InferenceEngine::score_labeled(
                  "score on a shut-down engine");
   std::vector<double> out(clips.size());
   if (clips.empty()) return out;
+  score_clips(&clips[0].clip, sizeof(layout::LabeledClip), clips.size(),
+              out.data(), kNoDeadline, 0);
+  return out;
+}
+
+void InferenceEngine::score_clips(
+    const layout::Clip* first, std::size_t clip_stride, std::size_t n,
+    double* out, std::chrono::steady_clock::time_point deadline,
+    std::uint64_t trace_id) {
   if (inline_mode_) {
-    score_inline(&clips[0].clip, sizeof(layout::LabeledClip), clips.size(),
-                 out.data(), 0);
-    return out;
+    score_inline(first, clip_stride, n, out, trace_id);
+    return;
   }
   Completion done;
-  done.remaining = clips.size();
-  std::size_t submitted = 0;
-  while (submitted < clips.size() &&
-         enqueue(&clips[submitted].clip, &out[submitted], &done, kNoDeadline,
-                 0))
-    ++submitted;
-  wait_and_check(done, submitted, clips.size());
-  return out;
+  done.remaining = n;
+  const std::size_t submitted =
+      submit(first, clip_stride, n, out, &done, deadline, trace_id);
+  wait_and_check(done, submitted, n);
 }
 
 void InferenceEngine::expire_request(const Request& r) {
@@ -216,19 +235,15 @@ void InferenceEngine::expire_request(const Request& r) {
 void InferenceEngine::score_inline(const layout::Clip* first,
                                    std::size_t clip_stride, std::size_t n,
                                    double* out, std::uint64_t trace_id) {
-  const auto* base = reinterpret_cast<const unsigned char*>(first);
   std::lock_guard<std::mutex> lk(inline_mu_);
   Slab* slab = &slabs_[0];
   for (std::size_t done = 0; done < n;) {
     const std::size_t count = std::min(config_.max_batch, n - done);
     slab->reason = FlushReason::kInline;
     slab->requests.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto* clip = reinterpret_cast<const layout::Clip*>(
-          base + (done + i) * clip_stride);
-      slab->requests.push_back(
-          Request{clip, out + done + i, nullptr, {}, {}, trace_id, 0});
-    }
+    for (std::size_t i = done; i < done + count; ++i)
+      slab->requests.push_back(Request{clip_at(first, clip_stride, i), out + i,
+                                       nullptr, {}, {}, trace_id, 0});
     slab->storage.resize(count * feat_);
     {
       const std::uint64_t begin_ns =
@@ -289,9 +304,6 @@ void InferenceEngine::dispatch(Slab* slab) {
 void InferenceEngine::batcher_loop() {
   std::vector<Request> pending;
   pending.reserve(config_.max_batch);
-  const auto wait =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(config_.max_wait_ms));
   for (;;) {
     FlushReason reason = FlushReason::kFull;
     double batch_form_seconds = 0.0;
@@ -303,13 +315,9 @@ void InferenceEngine::batcher_loop() {
       // dispatched" — the time the flush policy spent collecting.
       WallTimer form_timer;
       // Adaptive micro-batching: keep collecting until the batch is
-      // full or the oldest request in it has waited max_wait_ms. The
-      // deadline is anchored to that request's *enqueue* time, not to
-      // when the batcher got around to it — if the batcher was busy
-      // extracting the previous batch when the request arrived, the
-      // remaining wait shrinks accordingly (and a request that already
-      // waited max_wait_ms flushes immediately).
-      const auto deadline = queue_.front().enqueued + wait;
+      // full, or until the queue is empty and no submission is still
+      // enqueuing. Then no clip can join this batch, so waiting any
+      // longer would only add latency; there is no flush clock.
       for (;;) {
         // Pop into the batch, dropping any request whose caller
         // deadline has already passed — it never occupies a forward
@@ -345,15 +353,17 @@ void InferenceEngine::batcher_loop() {
           reason = FlushReason::kDrain;
           break;
         }
-        if (!queue_cv_.wait_until(lk, deadline, [&] {
-              return stopping_ || !queue_.empty();
-            })) {
-          reason = FlushReason::kTimeout;
+        queue_cv_.wait(lk, [&] {
+          return stopping_ || !queue_.empty() || open_submissions_ == 0;
+        });
+        if (queue_.empty() && !stopping_) {
+          reason = FlushReason::kIdle;
           break;
         }
       }
       batch_form_seconds = form_timer.seconds();
     }
+    if (pending.empty()) continue;  // every popped request had expired
     if (metrics::enabled()) {
       static metrics::Histogram& form = metrics::histogram(
           "engine.batch_form_seconds", {1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0});
@@ -409,8 +419,7 @@ void InferenceEngine::run_batch(Slab* slab) {
     // score_batch routes to the active serving model: int8 when this
     // engine is pinned quantized (the server's degraded engine) or the
     // detector has its quantized net enabled, fp32 otherwise.
-    probs = detector_->score_batch(
-        x, arena_, config_.quantized || detector_->use_quantized());
+    probs = detector_->score_batch(x, arena_, scores_quantized());
     slab->storage = std::move(x.vec());
   }
   emit_batch_spans("engine.forward", fwd_begin_ns, trace::timestamp_ns(),
@@ -432,8 +441,8 @@ void InferenceEngine::run_batch(Slab* slab) {
     case FlushReason::kFull:
       flush_full_.fetch_add(1, std::memory_order_relaxed);
       break;
-    case FlushReason::kTimeout:
-      flush_timeout_.fetch_add(1, std::memory_order_relaxed);
+    case FlushReason::kIdle:
+      flush_idle_.fetch_add(1, std::memory_order_relaxed);
       break;
     case FlushReason::kDrain:
       flush_drain_.fetch_add(1, std::memory_order_relaxed);
@@ -455,8 +464,8 @@ void InferenceEngine::run_batch(Slab* slab) {
     static metrics::Histogram& fwd = metrics::histogram(
         "engine.forward_seconds", {1e-4, 1e-3, 1e-2, 1e-1, 1.0});
     // Occupancy: what fraction of max_batch each forward pass carried.
-    // A distribution centered low says the flush timeout, not batch
-    // capacity, is shaping latency.
+    // A distribution centered low says callers submit small batches and
+    // the batcher flushes them as soon as they are complete.
     static metrics::Histogram& fill = metrics::histogram(
         "engine.batch_fill", {0.125, 0.25, 0.5, 0.75, 1.0});
     batches.increment();
@@ -511,7 +520,7 @@ EngineStats InferenceEngine::stats() const {
   }
   s.batches = batches_.load(std::memory_order_relaxed);
   s.flush_full = flush_full_.load(std::memory_order_relaxed);
-  s.flush_timeout = flush_timeout_.load(std::memory_order_relaxed);
+  s.flush_idle = flush_idle_.load(std::memory_order_relaxed);
   s.flush_drain = flush_drain_.load(std::memory_order_relaxed);
   s.inline_batches = inline_batches_.load(std::memory_order_relaxed);
   s.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);

@@ -3,13 +3,14 @@
 // An InferenceEngine owns a trained CnnDetector and serves high-volume
 // scoring: callers submit clips from any thread into a bounded MPSC
 // queue; a batcher thread forms adaptive micro-batches (flushing when a
-// batch reaches max_batch or when the oldest queued request has waited
-// max_wait_ms), extracts feature tensors in parallel directly into a
-// pinned input slab, and hands the slab to a forward thread that runs
-// one batched CNN pass. Two slabs double-buffer the pipeline so batch
-// N+1 extracts while batch N is in the network. All activations and the
-// softmax output are drawn from a per-engine WorkspaceArena, so the
-// steady state performs no heap allocations.
+// batch reaches max_batch, or as soon as the queue is empty and no
+// caller is still enqueuing — there is no flush clock), extracts
+// feature tensors in parallel directly into a pinned input slab, and
+// hands the slab to a forward thread that runs one batched CNN pass.
+// Two slabs double-buffer the pipeline so batch N+1 extracts while
+// batch N is in the network. All activations and the softmax output are
+// drawn from a per-engine WorkspaceArena, so the steady state performs
+// no heap allocations.
 //
 // Determinism contract: every per-sample computation in the CNN forward
 // path is arithmetically independent of the other samples in the batch
@@ -22,12 +23,12 @@
 // Single-worker collapse: on a host where the pool has one worker
 // (num_threads() <= 1 at construction), the queue/batcher/forward
 // handoff is pure overhead — three threads time-slicing one core made
-// the engine ~0.82x the per-clip path. With inline_when_serial (the
-// default) the engine then spawns no threads at all: score() extracts
-// and forwards max_batch-sized chunks synchronously on the calling
-// thread, through the same slab + arena code, so results stay bitwise
-// identical while the engine is never slower than per-clip. The mode is
-// fixed at construction; later set_num_threads() calls do not change it.
+// the engine ~0.82x the per-clip path. The engine then spawns no
+// threads at all: score() extracts and forwards max_batch-sized chunks
+// synchronously on the calling thread, through the same slab + arena
+// code, so results stay bitwise identical while the engine is never
+// slower than per-clip. The mode is fixed at construction; later
+// set_num_threads() calls do not change it.
 #pragma once
 
 #include <atomic>
@@ -60,42 +61,41 @@ class DeadlineExceeded : public CheckError {
 struct EngineConfig {
   /// Flush threshold: a batch never exceeds this many clips.
   std::size_t max_batch = 64;
-  /// Flush timeout: a partial batch is dispatched once its oldest
-  /// request has waited this long (milliseconds).
-  double max_wait_ms = 2.0;
   /// Bounded request queue capacity; producers block when it is full
   /// (backpressure instead of unbounded memory growth).
   std::size_t queue_capacity = 1024;
   /// Optional JSONL stream path: one record per dispatched batch
   /// (size, flush reason, stage latencies). Empty disables.
   std::string telemetry_path;
-  /// When the pool has a single worker at construction time, skip the
-  /// queue/batcher/forward threads entirely and score synchronously on
-  /// the calling thread (bitwise-identical results, none of the handoff
-  /// overhead). Tests that pin queued-pipeline behavior disable this.
-  bool inline_when_serial = true;
   /// Force every batch through the detector's int8 quantized net — the
   /// server's degraded engine under sustained overload (DESIGN.md §14).
   /// Requires CnnDetector::quantize() to have been called; the default
   /// engine follows the detector's own use_quantized() toggle instead.
   bool quantized = false;
 
-  /// Rejects nonsense configurations (max_batch == 0, negative wait,
-  /// queue smaller than a batch) with a positioned error. The engine
-  /// constructor calls this.
+  /// Rejects nonsense configurations (max_batch == 0, queue smaller
+  /// than a batch) with a positioned error. The engine constructor
+  /// calls this.
   void validate() const;
 };
 
-/// Why a batch was dispatched. kInline marks batches run synchronously
-/// by the single-worker collapse (no queue, no flush policy involved).
-enum class FlushReason : std::uint8_t { kFull, kTimeout, kDrain, kInline };
+/// Why a batch was dispatched. kIdle: the queue ran empty with no
+/// submission still enqueuing, so nothing more could join the batch.
+/// kInline marks batches run synchronously by the single-worker collapse
+/// (no queue, no flush policy involved).
+enum class FlushReason : std::uint8_t { kFull, kIdle, kDrain, kInline };
 
 /// Point-in-time counters; readable while the engine is live.
 struct EngineStats {
   std::uint64_t requests = 0;       ///< clips enqueued
   std::uint64_t batches = 0;        ///< forward passes run
   std::uint64_t flush_full = 0;     ///< batches dispatched at max_batch
-  std::uint64_t flush_timeout = 0;  ///< batches dispatched on timeout
+  /// Partial batches dispatched because every submission had finished
+  /// enqueuing and the queue was empty.
+  std::uint64_t flush_idle = 0;
+  /// Always 0: the engine has no flush timeout. Kept only so existing
+  /// readers of the field still compile.
+  std::uint64_t flush_timeout = 0;
   std::uint64_t flush_drain = 0;    ///< batches dispatched by shutdown
   /// Batches run synchronously by the single-worker collapse (also
   /// counted in `batches`; zero when the engine runs the threaded
@@ -127,6 +127,11 @@ class InferenceEngine {
 
   const EngineConfig& config() const { return config_; }
   const CnnDetector& detector() const { return *detector_; }
+  /// True when batches are scored by the detector's int8 net: the
+  /// engine is pinned quantized or the detector's own toggle is on.
+  bool scores_quantized() const {
+    return config_.quantized || detector_->use_quantized();
+  }
 
   /// "No deadline" sentinel for the deadline parameters below.
   static constexpr std::chrono::steady_clock::time_point kNoDeadline =
@@ -179,10 +184,7 @@ class InferenceEngine {
     const layout::Clip* clip = nullptr;
     double* out = nullptr;
     Completion* done = nullptr;
-    /// Enqueue instant; the batcher's flush deadline is the *oldest*
-    /// request's enqueue time plus max_wait_ms, so the latency promise
-    /// holds even when the batcher was busy extracting when the request
-    /// arrived.
+    /// Enqueue instant; feeds the engine.queue_wait_seconds histogram.
     std::chrono::steady_clock::time_point enqueued;
     /// Caller deadline (kNoDeadline = none); checked by the batcher
     /// when it pops the request.
@@ -204,20 +206,32 @@ class InferenceEngine {
     bool free = true;
   };
 
-  /// Returns false (without queuing) when the engine is stopping; the
-  /// caller must then wait for its already-queued requests to drain
-  /// before unwinding the Completion they point at.
-  bool enqueue(const layout::Clip* clip, double* out, Completion* done,
-               std::chrono::steady_clock::time_point deadline,
-               std::uint64_t trace_id);
+  /// Scores `n` clips laid out `clip_stride` bytes apart into
+  /// out[0, n): inline under the single-worker collapse, otherwise
+  /// through the queue, blocking until every clip has completed. The
+  /// stride lets LabeledClip arrays score without materializing a
+  /// pointer table.
+  void score_clips(const layout::Clip* first, std::size_t clip_stride,
+                   std::size_t n, double* out,
+                   std::chrono::steady_clock::time_point deadline,
+                   std::uint64_t trace_id);
+  /// Enqueues one submission and returns how many of its clips were
+  /// queued — fewer than `n` only when the engine began stopping, in
+  /// which case the caller must still wait for the queued ones to drain
+  /// before unwinding the Completion they point at. Each free-space
+  /// chunk lands under one lock, so a submission that fits in the queue
+  /// lands atomically; the submission counts as open until this
+  /// returns, so the batcher never idle-flushes ahead of its clips.
+  std::size_t submit(const layout::Clip* first, std::size_t clip_stride,
+                     std::size_t n, double* out, Completion* done,
+                     std::chrono::steady_clock::time_point deadline,
+                     std::uint64_t trace_id);
   /// Completes a queued request as past-deadline (no forward pass).
   void expire_request(const Request& r);
   void wait_and_check(Completion& done, std::size_t submitted,
                       std::size_t total);
   /// Single-worker collapse: extract + forward `n` clips synchronously
-  /// in max_batch chunks on the calling thread. `clip_stride` is the
-  /// byte distance between consecutive Clips (lets LabeledClip arrays
-  /// score without materializing a pointer table).
+  /// in max_batch chunks on the calling thread.
   void score_inline(const layout::Clip* first, std::size_t clip_stride,
                     std::size_t n, double* out, std::uint64_t trace_id);
   void run_batch(Slab* slab);
@@ -237,6 +251,9 @@ class InferenceEngine {
   std::condition_variable queue_cv_;  // batcher waits: work available
   std::condition_variable space_cv_;  // producers wait: capacity free
   std::deque<Request> queue_;
+  /// submit() calls still enqueuing. With the queue empty and none
+  /// open, no clip can join the pending batch, so the batcher flushes.
+  std::size_t open_submissions_ = 0;
   bool stopping_ = false;
   std::size_t max_queue_depth_ = 0;
   std::uint64_t requests_ = 0;
@@ -260,7 +277,7 @@ class InferenceEngine {
   // Stats (written by their owning thread, read via stats()).
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> flush_full_{0};
-  std::atomic<std::uint64_t> flush_timeout_{0};
+  std::atomic<std::uint64_t> flush_idle_{0};
   std::atomic<std::uint64_t> flush_drain_{0};
   std::atomic<std::uint64_t> inline_batches_{0};
   std::atomic<std::uint64_t> deadline_expired_{0};

@@ -89,7 +89,8 @@ ScanJournal::ScanJournal(std::string path, std::uint64_t fingerprint)
 
 std::uint64_t ScanJournal::fingerprint(const ScanConfig& config,
                                        const geom::Rect& extent,
-                                       std::uint64_t source_fingerprint) {
+                                       std::uint64_t source_fingerprint,
+                                       std::uint64_t model_fingerprint) {
   io::ByteWriter w;
   w.i64(config.window_size);
   w.i64(config.stride);
@@ -99,6 +100,7 @@ std::uint64_t ScanJournal::fingerprint(const ScanConfig& config,
   w.i64(extent.hi.x);
   w.i64(extent.hi.y);
   w.u64(source_fingerprint);
+  w.u64(model_fingerprint);
   return io::crc32(w.buffer());
 }
 

@@ -21,10 +21,10 @@
 // discarded and that band is simply rescanned.
 //
 // The fingerprint covers the scan geometry (window, stride, band rows,
-// chip extent) so a journal is never replayed against a different grid.
-// It deliberately does NOT cover the detector weights: resuming with a
-// different model would merge bands scored by two models, which is on
-// the caller — the journal cannot see the detector.
+// chip extent), the layout source's content and the scoring model
+// (CnnDetector::model_fingerprint: weights, threshold, fp32/int8 mode),
+// so a journal is never replayed against a different grid, chip or
+// model.
 #pragma once
 
 #include <cstdint>
@@ -55,13 +55,14 @@ class ScanJournal {
   ScanJournal(std::string path, std::uint64_t fingerprint);
 
   /// Scan-geometry fingerprint for `config` over `extent`, mixed with
-  /// the layout source's content fingerprint; two scans share a journal
-  /// iff all three match (so a journal recorded against one chip can
-  /// never be replayed into a scan of different geometry, hierarchical
-  /// or flat).
+  /// the layout source's content fingerprint and the scoring model's
+  /// fingerprint; two scans share a journal iff all four match (so a
+  /// journal recorded against one chip or model can never be replayed
+  /// into a scan of different geometry, source or model).
   static std::uint64_t fingerprint(const ScanConfig& config,
                                    const geom::Rect& extent,
-                                   std::uint64_t source_fingerprint = 0);
+                                   std::uint64_t source_fingerprint = 0,
+                                   std::uint64_t model_fingerprint = 0);
 
   /// True when `band_index` was already completed by a previous run.
   bool has(std::uint64_t band_index) const {

@@ -158,7 +158,7 @@ void record_cache_metrics(const ScanReport& report) {
   if (!metrics::enabled() || report.windows_from_cache == 0) return;
   static metrics::Counter& cached = metrics::counter("scan.cache_hits");
   static metrics::Counter& scored = metrics::counter("scan.cache_misses");
-  static metrics::Gauge& rate = metrics::gauge("scan.cache_hit_rate");
+  static metrics::Gauge& rate = metrics::gauge("scan.window_reuse_fraction");
   cached.add(report.windows_from_cache);
   scored.add(report.windows_scanned - report.windows_from_cache);
   rate.set(report.windows_scanned == 0
@@ -307,9 +307,11 @@ ScanReport ChipScanner::scan_resumable(const layout::LayoutSource& source,
                                        const std::string& journal_path,
                                        CellScanCache* cache) const {
   config_.validate_for(engine.detector());
-  ScanJournal journal(journal_path,
-                      ScanJournal::fingerprint(config_, source.extent(),
-                                               source.fingerprint()));
+  ScanJournal journal(
+      journal_path,
+      ScanJournal::fingerprint(
+          config_, source.extent(), source.fingerprint(),
+          engine.detector().model_fingerprint(engine.scores_quantized())));
   ScanReport report = scan_grid(
       config_, source, engine.detector().decision_threshold(),
       [&](std::span<const layout::Clip> clips, std::span<double> out) {

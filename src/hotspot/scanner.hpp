@@ -116,9 +116,9 @@ class ChipScanner {
   /// disk and only the remainder is scored — the merged report is
   /// bitwise identical to an uninterrupted scan. The journal file is
   /// deleted once the scan completes. The journal fingerprints the scan
-  /// geometry and the source's content fingerprint but cannot see the
-  /// model: resuming with different detector weights is the caller's
-  /// responsibility to avoid.
+  /// geometry, the source's content and the engine's scoring model
+  /// (weights, threshold, fp32/int8 mode): a journal left by a different
+  /// model is discarded and every band is rescanned.
   ScanReport scan_resumable(const layout::LayoutSource& source,
                             InferenceEngine& engine,
                             const std::string& journal_path,

@@ -10,6 +10,7 @@
 
 #include "common/check.hpp"
 #include "common/cpuinfo.hpp"
+#include "common/io.hpp"
 #include "common/parallel.hpp"
 #include "common/trace.hpp"
 #include "nn/activations.hpp"
@@ -627,6 +628,24 @@ QuantizedNet::QuantizedNet(const Sequential& net, const Tensor& calibration) {
                  "quantized net must end in a Linear classifier");
   ops_.back().fp32_out = true;
   classes_ = ops_.back().out_features;
+}
+
+std::uint32_t QuantizedNet::fingerprint() const {
+  io::ByteWriter w;
+  const auto act = [&](const ActQuant& q) {
+    w.f32(q.scale);
+    w.u32(static_cast<std::uint32_t>(q.zero_point));
+  };
+  act(input_q_);
+  for (const Op& op : ops_) {
+    w.u8(static_cast<std::uint8_t>(op.kind));
+    w.bytes(op.qweight.data(), op.qweight.size());
+    w.f32_array(op.combined_scale.data(), op.combined_scale.size());
+    w.f32_array(op.bias.data(), op.bias.size());
+    act(op.in_q);
+    act(op.out_q);
+  }
+  return io::crc32(w.buffer());
 }
 
 std::size_t QuantizedNet::num_quantized_layers() const {

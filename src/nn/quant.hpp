@@ -70,6 +70,10 @@ class QuantizedNet {
   Tensor probabilities(const Tensor& input, WorkspaceArena& ws) const;
 
   std::size_t num_quantized_layers() const;  ///< conv + linear count
+  /// CRC-32 over every op's int8 weights, scales and bias and every
+  /// activation's quantization params: two nets that could score a
+  /// sample differently differ here (barring a CRC collision).
+  std::uint32_t fingerprint() const;
   const std::vector<std::size_t>& input_shape() const { return in_shape_; }
 
  private:

@@ -620,7 +620,7 @@ std::string HotspotServer::stats_json() const {
     engine.set("requests", es.requests);
     engine.set("batches", es.batches);
     engine.set("flush_full", es.flush_full);
-    engine.set("flush_timeout", es.flush_timeout);
+    engine.set("flush_idle", es.flush_idle);
     engine.set("flush_drain", es.flush_drain);
     engine.set("inline_batches", es.inline_batches);
     engine.set("deadline_expired", es.deadline_expired);

@@ -1,7 +1,8 @@
 // InferenceEngine unit tests: batching policy (flush on full batch, on
-// timeout, on shutdown drain), config validation, the zero-steady-state
-// allocation property of the engine's workspace arena, and bitwise
-// equivalence with the serial per-clip inference path.
+// idle — queue empty and no submission still enqueuing — and on
+// shutdown drain), config validation, the zero-steady-state allocation
+// property of the engine's workspace arena, and bitwise equivalence
+// with the serial per-clip inference path.
 #include "hotspot/engine/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -41,16 +42,10 @@ std::vector<layout::Clip> make_clips(std::size_t n, std::uint64_t seed) {
   return clips;
 }
 
-/// Tests that assert queued-pipeline behavior (flush counters, drain
-/// interleavings) must not collapse to the inline path when the host —
-/// like one-core CI — leaves the pool with a single worker.
-EngineConfig queued_config() {
-  EngineConfig config;
-  config.inline_when_serial = false;
-  return config;
-}
-
 /// Pins the global pool to `n` threads for one test, restoring on exit.
+/// Tests that assert queued-pipeline behavior (flush counters, drain
+/// interleavings) pin 2 so the engine does not collapse to the inline
+/// path when the host — like one-core CI — gives the pool one worker.
 struct ThreadCountGuard {
   explicit ThreadCountGuard(std::size_t n) : saved(num_threads()) {
     set_num_threads(n);
@@ -63,10 +58,6 @@ TEST(EngineConfigTest, RejectsNonsense) {
   EngineConfig zero_batch;
   zero_batch.max_batch = 0;
   EXPECT_THROW(zero_batch.validate(), CheckError);
-
-  EngineConfig negative_wait;
-  negative_wait.max_wait_ms = -1.0;
-  EXPECT_THROW(negative_wait.validate(), CheckError);
 
   EngineConfig tiny_queue;
   tiny_queue.max_batch = 64;
@@ -83,11 +74,11 @@ TEST(EngineConfigTest, ConstructorValidates) {
   EXPECT_THROW(InferenceEngine(detector, config), CheckError);
 }
 
-TEST(EngineTest, PartialBatchFlushesOnTimeout) {
+TEST(EngineTest, PartialBatchFlushesWhenSubmissionCompletes) {
+  ThreadCountGuard guard(2);
   const CnnDetector detector(small_config());
-  EngineConfig config = queued_config();
+  EngineConfig config;
   config.max_batch = 8;
-  config.max_wait_ms = 1.0;
   InferenceEngine engine(detector, config);
 
   const std::vector<layout::Clip> clips = make_clips(3, 7);
@@ -99,18 +90,21 @@ TEST(EngineTest, PartialBatchFlushesOnTimeout) {
   }
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.requests, 3u);
-  EXPECT_GE(stats.batches, 1u);
-  // 3 < max_batch, so no batch can have flushed full; the engine stays
-  // live after scoring, so the flush must have been timeout-driven.
+  // The submission fits in the queue, so it lands atomically and rides
+  // one batch. 3 < max_batch, so it cannot have flushed full, and the
+  // engine stays live after scoring, so it was not a drain: the batcher
+  // flushed because the queue ran empty with no submission open.
+  EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.flush_full, 0u);
-  EXPECT_GE(stats.flush_timeout, 1u);
+  EXPECT_EQ(stats.flush_idle, 1u);
+  EXPECT_EQ(stats.flush_timeout, 0u);
 }
 
 TEST(EngineTest, FullBatchFlushesWithoutWaiting) {
+  ThreadCountGuard guard(2);
   const CnnDetector detector(small_config());
-  EngineConfig config = queued_config();
+  EngineConfig config;
   config.max_batch = 4;
-  config.max_wait_ms = 60000.0;  // a timeout flush would hang the test
   InferenceEngine engine(detector, config);
 
   const std::vector<layout::Clip> clips = make_clips(4, 11);
@@ -121,18 +115,19 @@ TEST(EngineTest, FullBatchFlushesWithoutWaiting) {
 }
 
 TEST(EngineTest, ShutdownDrainsOutstandingRequests) {
+  ThreadCountGuard guard(2);
   const CnnDetector detector(small_config());
-  EngineConfig config = queued_config();
+  EngineConfig config;
   config.max_batch = 64;
-  config.max_wait_ms = 60000.0;  // only shutdown can flush these
   InferenceEngine engine(detector, config);
 
   const std::vector<layout::Clip> clips = make_clips(5, 13);
   std::vector<double> probs;
   std::thread producer(
       [&] { probs = engine.score(clips); });
-  // Wait until every request is queued, then shut down: the drain path
-  // must still deliver real results to the blocked producer.
+  // Wait until every request is queued, then shut down: whether the
+  // batch flushed idle before the shutdown or drains during it, the
+  // blocked producer must still get real results.
   while (engine.stats().requests < clips.size()) std::this_thread::yield();
   engine.shutdown();
   producer.join();
@@ -144,7 +139,7 @@ TEST(EngineTest, ShutdownDrainsOutstandingRequests) {
   }
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.requests, clips.size());
-  EXPECT_GE(stats.flush_drain + stats.flush_timeout + stats.flush_full, 1u);
+  EXPECT_GE(stats.flush_drain + stats.flush_idle + stats.flush_full, 1u);
 }
 
 TEST(EngineTest, ScoreAfterShutdownThrows) {
@@ -163,7 +158,8 @@ TEST(EngineTest, MatchesSerialPerClipPathBitwise) {
   for (const layout::Clip& clip : clips)
     reference.push_back(detector.predict_probability(clip));
 
-  EngineConfig config = queued_config();
+  ThreadCountGuard guard(2);
+  EngineConfig config;
   config.max_batch = 4;  // forces 9 clips across multiple batches
   InferenceEngine engine(detector, config);
   const std::vector<double> probs = engine.score(clips);
@@ -173,10 +169,10 @@ TEST(EngineTest, MatchesSerialPerClipPathBitwise) {
 }
 
 TEST(EngineTest, ArenaAllocationsPlateauAcrossRepeatedBatches) {
+  ThreadCountGuard guard(2);
   const CnnDetector detector(small_config());
-  EngineConfig config = queued_config();
-  config.max_batch = 4;
-  config.max_wait_ms = 1000.0;  // partial batches wait for the full 4
+  EngineConfig config;
+  config.max_batch = 4;  // each 4-clip submission lands as one full batch
   InferenceEngine engine(detector, config);
 
   // Warmup rounds grow the arena to the batch-of-4 high-water mark.
@@ -208,10 +204,10 @@ TEST(EngineTest, ScoreLabeledMatchesScore) {
 }
 
 TEST(EngineTest, ConcurrentProducersAllComplete) {
+  ThreadCountGuard guard(2);
   const CnnDetector detector(small_config());
-  EngineConfig config = queued_config();
+  EngineConfig config;
   config.max_batch = 8;
-  config.max_wait_ms = 1.0;
   InferenceEngine engine(detector, config);
 
   constexpr std::size_t kProducers = 3;
@@ -236,37 +232,54 @@ TEST(EngineTest, ConcurrentProducersAllComplete) {
   EXPECT_EQ(engine.stats().requests, kProducers * 6u);
 }
 
-TEST(EngineTest, SlowProducerTimeoutFlushFiresExactlyOnce) {
+TEST(EngineTest, SlowProducerSubmissionsFlushSeparately) {
+  ThreadCountGuard guard(2);
   const CnnDetector detector(small_config());
-  EngineConfig config = queued_config();
+  EngineConfig config;
   config.max_batch = 8;
-  config.max_wait_ms = 400.0;
   InferenceEngine engine(detector, config);
 
-  // A slow producer: the second submission lands well inside the first
-  // request's wait window. The flush deadline is anchored to the oldest
-  // queued request's enqueue time, so the late arrival must neither
-  // restart the clock nor split the batch — exactly one timeout flush
-  // covers both submissions. (This pinned a real bug: the batcher used
-  // to anchor the deadline to its own wake-up time, so requests could
-  // wait arbitrarily longer than max_wait_ms.)
+  // A slow producer: a 2-clip submission, then a 1-clip submission
+  // 40 ms later. The first must not wait for the second — it flushes
+  // the moment it has finished enqueuing — so each rides its own batch.
   const std::vector<layout::Clip> first = make_clips(2, 37);
   const std::vector<layout::Clip> second = make_clips(1, 41);
   std::vector<double> first_probs, second_probs;
   std::thread early([&] { first_probs = engine.score(first); });
+  early.join();
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   std::thread late([&] { second_probs = engine.score(second); });
-  early.join();
   late.join();
 
   ASSERT_EQ(first_probs.size(), 2u);
   ASSERT_EQ(second_probs.size(), 1u);
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.requests, 3u);
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.flush_timeout, 1u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.flush_idle, 2u);
+  EXPECT_EQ(stats.flush_timeout, 0u);
   EXPECT_EQ(stats.flush_full, 0u);
   EXPECT_EQ(stats.flush_drain, 0u);
+}
+
+TEST(EngineTest, SequentialSmallSubmissionsNeverWaitOnAClock) {
+  ThreadCountGuard guard(2);
+  const CnnDetector detector(small_config());
+  InferenceEngine engine(detector);  // default config
+
+  // The shape of a hierarchical scan at pool width 2: many small
+  // submissions from one caller, each a partial batch. Every one
+  // flushes as soon as it has landed, in a batch of its own.
+  const std::vector<layout::Clip> clips = make_clips(3, 53);
+  for (int call = 0; call < 20; ++call) {
+    const std::vector<double> probs = engine.score(clips);
+    ASSERT_EQ(probs.size(), clips.size());
+  }
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.requests, 60u);
+  EXPECT_EQ(stats.batches, 20u);
+  EXPECT_EQ(stats.flush_idle, 20u);
+  EXPECT_EQ(stats.flush_timeout, 0u);
 }
 
 TEST(EngineTest, SingleWorkerCollapsesToInlinePath) {
@@ -278,7 +291,7 @@ TEST(EngineTest, SingleWorkerCollapsesToInlinePath) {
   for (const layout::Clip& clip : clips)
     reference.push_back(detector.predict_probability(clip));
 
-  EngineConfig config;  // inline_when_serial defaults on
+  EngineConfig config;
   config.max_batch = 4;  // 9 clips -> 3 inline batches
   InferenceEngine engine(detector, config);
   const std::vector<double> probs = engine.score(clips);
@@ -291,7 +304,9 @@ TEST(EngineTest, SingleWorkerCollapsesToInlinePath) {
   EXPECT_EQ(stats.inline_batches, 3u);
   EXPECT_EQ(stats.batches, 3u);
   // No queue, no batcher: the queued flush reasons never fire.
-  EXPECT_EQ(stats.flush_full + stats.flush_timeout + stats.flush_drain, 0u);
+  EXPECT_EQ(stats.flush_full + stats.flush_idle + stats.flush_timeout +
+                stats.flush_drain,
+            0u);
 }
 
 TEST(EngineTest, InlinePathServesConcurrentCallersAndLabeledClips) {

@@ -15,6 +15,7 @@
 
 #include "common/check.hpp"
 #include "common/fault.hpp"
+#include "common/parallel.hpp"
 #include "hotspot/detector.hpp"
 #include "hotspot/engine/engine.hpp"
 #include "hotspot/scan_cache.hpp"
@@ -107,6 +108,15 @@ layout::HierLayout overlapping_chip() {
   return layout::hier_from_library(lib);
 }
 
+/// Pins the global pool to `n` threads for one test, restoring on exit.
+struct ThreadCountGuard {
+  explicit ThreadCountGuard(std::size_t n) : saved(num_threads()) {
+    set_num_threads(n);
+  }
+  ~ThreadCountGuard() { set_num_threads(saved); }
+  std::size_t saved;
+};
+
 layout::Layout flat_expansion(const layout::HierLayout& hier) {
   return layout::Layout(hier.extent(), hier.flatten(1));
 }
@@ -161,6 +171,25 @@ TEST(HierScanTest, CachedHierScanMatchesFlatBitwise) {
   expect_same_report(flat_report, warm);
   EXPECT_EQ(warm.windows_from_cache, 16u);
   EXPECT_EQ(warm_engine.stats().requests, 0u);
+}
+
+TEST(HierScanTest, CachedScanBatchesNeverWaitOnAClock) {
+  // At pool width 2 the engine runs its queued pipeline, and a cached
+  // hierarchical scan hands it one small batch per band. Each must
+  // flush as soon as the band's submission has landed.
+  ThreadCountGuard guard(2);
+  const layout::HierLayout hier = array_chip();
+  const layout::HierSource source(hier, 1);
+  const CnnDetector detector(small_config());
+  const ChipScanner scanner(band_per_row_config());
+
+  CellScanCache cache;
+  InferenceEngine engine(detector);
+  scanner.scan(source, engine, &cache);
+  const EngineStats stats = engine.stats();
+  EXPECT_GT(stats.batches, 0u);
+  EXPECT_EQ(stats.inline_batches, 0u);
+  EXPECT_EQ(stats.flush_timeout, 0u);
 }
 
 TEST(HierScanTest, ShardCountNeverChangesTheReport) {

@@ -1,7 +1,8 @@
 // Crash-safe scan tests (DESIGN.md §14): a scan killed mid-way by an
 // injected band fault resumes from its journal and produces a report
 // bitwise identical to an uninterrupted scan; torn or corrupt journal
-// tails are truncated; a fingerprint mismatch starts fresh.
+// tails are truncated; a fingerprint mismatch — other geometry, other
+// model — starts fresh.
 #include "hotspot/scan_journal.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "hotspot/detector.hpp"
 #include "hotspot/engine/engine.hpp"
 #include "hotspot/scanner.hpp"
+#include "layout/generator.hpp"
 
 namespace hsdl::hotspot {
 namespace {
@@ -100,6 +102,70 @@ TEST(ScanResumeTest, KilledScanResumesBitwiseIdentical) {
   EXPECT_EQ(resume_engine.stats().requests, 4u);
   // A completed scan cleans up its resume state.
   EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(ScanResumeTest, ResumeUnderADifferentModelRescansEveryBand) {
+  const layout::Layout chip = test_chip();
+  const layout::FlatSource source(chip);
+  const CnnDetector detector_a(small_config());
+  CnnDetectorConfig config_b = small_config();
+  config_b.cnn.seed = 43;  // same architecture, different weights
+  const CnnDetector detector_b(config_b);
+  const ChipScanner scanner(band_per_row_config());
+  const std::string path = temp_path("hsdl_scan_resume_model.journal");
+  std::filesystem::remove(path);
+
+  InferenceEngine clean_engine(detector_b);
+  const ScanReport clean = scanner.scan(source, clean_engine);
+
+  // Kill a scan under detector A once bands 0 and 1 are journaled.
+  {
+    fault::Plan plan;
+    plan.specs.push_back({"scan.band", fault::Kind::kFail, 1.0, 0.0,
+                          /*start_after=*/2, /*max_fires=*/0});
+    fault::ScopedPlan armed(std::move(plan));
+    InferenceEngine engine(detector_a);
+    EXPECT_THROW(scanner.scan_resumable(source, engine, path), CheckError);
+  }
+  ASSERT_TRUE(std::filesystem::exists(path));
+
+  // Resuming under B must not replay A's bands: B scores all 8 windows
+  // and reports exactly what an uninterrupted B scan reports.
+  InferenceEngine resume_engine(detector_b);
+  const ScanReport resumed =
+      scanner.scan_resumable(source, resume_engine, path);
+  expect_same_report(clean, resumed);
+  EXPECT_EQ(resume_engine.stats().requests, 8u);
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(ScanResumeTest, ModelFingerprintCoversWeightsThresholdAndMode) {
+  CnnDetector detector(small_config());
+  const std::uint64_t fp32 = detector.model_fingerprint(false);
+  // Deterministic for the same weights.
+  EXPECT_EQ(CnnDetector(small_config()).model_fingerprint(false), fp32);
+
+  CnnDetectorConfig other_weights = small_config();
+  other_weights.cnn.seed = 43;
+  EXPECT_NE(CnnDetector(other_weights).model_fingerprint(false), fp32);
+
+  // Without an int8 net, int8 scoring falls back to fp32 — and so does
+  // the fingerprint.
+  EXPECT_EQ(detector.model_fingerprint(true), fp32);
+  layout::ClipGenerator gen(layout::GeneratorConfig{}, 5);
+  std::vector<layout::LabeledClip> calibration;
+  for (int i = 0; i < 4; ++i)
+    calibration.push_back({gen.generate().normalized(),
+                           layout::HotspotLabel::kNonHotspot});
+  detector.quantize(calibration);
+  const std::uint64_t int8 = detector.model_fingerprint(true);
+  EXPECT_NE(int8, fp32);
+  EXPECT_EQ(detector.model_fingerprint(false), fp32);
+
+  // A moved decision boundary flags different windows.
+  detector.set_shift(0.1);
+  EXPECT_NE(detector.model_fingerprint(false), fp32);
+  EXPECT_NE(detector.model_fingerprint(true), int8);
 }
 
 TEST(ScanResumeTest, JournalRoundTripAndTornTailTruncation) {
@@ -204,6 +270,8 @@ TEST(ScanResumeTest, FingerprintCoversGeometry) {
   EXPECT_NE(ScanJournal::fingerprint(
                 a, geom::Rect::from_xywh(0, 0, 2400, 2400)),
             ScanJournal::fingerprint(a, extent));
+  EXPECT_NE(ScanJournal::fingerprint(a, extent, 0, /*model=*/1),
+            ScanJournal::fingerprint(a, extent, 0, /*model=*/2));
 }
 
 TEST(ScanResumeTest, BandRowsValidated) {
