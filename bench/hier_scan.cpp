@@ -128,9 +128,10 @@ int main() {
   // Hierarchical scans first (see header comment on VmHWM ordering).
   for (const std::size_t shards : {1u, 2u, 8u}) {
     hotspot::CellScanCache cache;
+    hotspot::InferenceEngine engine(detector);
     WallTimer timer;
     const hotspot::ScanReport report =
-        scanner.scan_sharded(source, detector, shards, &cache);
+        scanner.scan(source, engine, &cache, {.shards = shards});
     PhaseResult p;
     p.name = "hier_cached";
     p.shards = shards;

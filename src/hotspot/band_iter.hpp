@@ -1,16 +1,10 @@
-// Scan-grid geometry and per-band window iteration (DESIGN.md §16).
+// Scan-grid geometry (DESIGN.md §16).
 //
 // A full-chip scan is a row-major walk over a window grid, chunked into
 // bands of `band_rows` window rows. Bands are the unit of parallel
 // extraction, of deterministic merge order, of resumable-scan
-// journaling and of shard assignment — so the grid math lives here,
-// shared by the serial scanner loop and the sharded scanner, instead of
-// being re-derived in each.
-//
-// A BandWindowIterator yields one band's window rects in row-major
-// order without materializing anything: combined with a streaming
-// LayoutSource, peak scan memory is O(windows in one band) regardless
-// of chip size.
+// journaling and of shard assignment; the grid math lives here so the
+// scanner and the benchmarks derive window positions the same way.
 #pragma once
 
 #include <algorithm>
@@ -67,56 +61,17 @@ class ScanGrid {
   std::size_t band_row_end(std::size_t band) const {
     return std::min(band_row_begin(band) + band_rows_, ys_.size());
   }
-  std::size_t windows_in_band(std::size_t band) const {
-    return (band_row_end(band) - band_row_begin(band)) * cols();
-  }
 
   geom::Rect window(std::size_t row, std::size_t col) const {
     return geom::Rect::from_xywh(xs_[col], ys_[row], window_size_,
                                  window_size_);
   }
 
-  const std::vector<geom::Coord>& xs() const { return xs_; }
-  const std::vector<geom::Coord>& ys() const { return ys_; }
-
  private:
   geom::Coord window_size_;
   std::size_t band_rows_;
   std::vector<geom::Coord> xs_;
   std::vector<geom::Coord> ys_;
-};
-
-/// Forward-only cursor over one band's windows in row-major scan order
-/// (the order hits are reported and probabilities are merged in).
-class BandWindowIterator {
- public:
-  BandWindowIterator(const ScanGrid& grid, std::size_t band)
-      : grid_(&grid),
-        row_(grid.band_row_begin(band)),
-        row_end_(grid.band_row_end(band)) {}
-
-  /// Yields the next window; false when the band is exhausted.
-  bool next(geom::Rect& window) {
-    if (row_ >= row_end_) return false;
-    window = grid_->window(row_, col_);
-    ++index_;
-    if (++col_ == grid_->cols()) {
-      col_ = 0;
-      ++row_;
-    }
-    return true;
-  }
-
-  /// Number of windows yielded so far; after the final next(), the
-  /// band's window count.
-  std::size_t index() const { return index_; }
-
- private:
-  const ScanGrid* grid_;
-  std::size_t row_;
-  std::size_t row_end_;
-  std::size_t col_ = 0;
-  std::size_t index_ = 0;
 };
 
 }  // namespace hsdl::hotspot

@@ -46,20 +46,6 @@ const layout::Clip* clip_at(const layout::Clip* first, std::size_t stride,
       reinterpret_cast<const unsigned char*>(first) + i * stride);
 }
 
-const char* reason_name(FlushReason r) {
-  switch (r) {
-    case FlushReason::kFull:
-      return "full";
-    case FlushReason::kIdle:
-      return "idle";
-    case FlushReason::kDrain:
-      return "drain";
-    case FlushReason::kInline:
-      return "inline";
-  }
-  return "unknown";
-}
-
 }  // namespace
 
 void EngineConfig::validate() const {
@@ -73,9 +59,7 @@ void EngineConfig::validate() const {
 
 InferenceEngine::InferenceEngine(const CnnDetector& detector,
                                  const EngineConfig& config)
-    : config_(config),
-      detector_(&detector),
-      telemetry_(config.telemetry_path) {
+    : config_(config), detector_(&detector) {
   config_.validate();
   HSDL_CHECK_MSG(!config_.quantized || detector.quantized_net() != nullptr,
                  "engine config: quantized serving requires a quantized "
@@ -98,6 +82,16 @@ InferenceEngine::InferenceEngine(const CnnDetector& detector,
 }
 
 InferenceEngine::~InferenceEngine() { shutdown(); }
+
+std::uint64_t InferenceEngine::model_fingerprint() const {
+  // The detector scores int8 only when a quantized net exists, so key
+  // the memo on the mode it actually runs.
+  const bool int8 = scores_quantized() && detector_->quantized_net() != nullptr;
+  std::lock_guard<std::mutex> lk(fingerprint_mu_);
+  std::optional<std::uint64_t>& memo = model_fingerprint_[int8 ? 1 : 0];
+  if (!memo) memo = detector_->model_fingerprint(int8);
+  return *memo;
+}
 
 std::vector<double> InferenceEngine::score(
     std::span<const layout::Clip> clips,
@@ -474,15 +468,6 @@ void InferenceEngine::run_batch(Slab* slab) {
                 static_cast<double>(config_.max_batch));
     ext.record(slab->extract_seconds);
     fwd.record(forward_seconds);
-  }
-  if (telemetry_.enabled()) {
-    json::Value rec = json::Value::object();
-    rec.set("event", "engine.batch");
-    rec.set("batch", n);
-    rec.set("reason", reason_name(slab->reason));
-    rec.set("extract_seconds", slab->extract_seconds);
-    rec.set("forward_seconds", forward_seconds);
-    telemetry_.emit(rec);
   }
   // Results are in place; wake the waiters (inline batches have none —
   // the caller is this thread). Notify while still holding the

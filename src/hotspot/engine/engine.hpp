@@ -37,12 +37,12 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/run_report.hpp"
 #include "hotspot/detector.hpp"
 #include "nn/workspace.hpp"
 
@@ -64,9 +64,6 @@ struct EngineConfig {
   /// Bounded request queue capacity; producers block when it is full
   /// (backpressure instead of unbounded memory growth).
   std::size_t queue_capacity = 1024;
-  /// Optional JSONL stream path: one record per dispatched batch
-  /// (size, flush reason, stage latencies). Empty disables.
-  std::string telemetry_path;
   /// Force every batch through the detector's int8 quantized net — the
   /// server's degraded engine under sustained overload (DESIGN.md §14).
   /// Requires CnnDetector::quantize() to have been called; the default
@@ -132,6 +129,12 @@ class InferenceEngine {
   bool scores_quantized() const {
     return config_.quantized || detector_->use_quantized();
   }
+  /// CnnDetector::model_fingerprint of the model this engine scores
+  /// with in its current mode. It hashes every weight, so it is
+  /// computed on first use and memoized per mode (fp32, int8) rather
+  /// than paid on every scan or at construction. Scan journals and
+  /// CellScanCache bindings key on it.
+  std::uint64_t model_fingerprint() const;
 
   /// "No deadline" sentinel for the deadline parameters below.
   static constexpr std::chrono::steady_clock::time_point kNoDeadline =
@@ -282,12 +285,15 @@ class InferenceEngine {
   std::atomic<std::uint64_t> inline_batches_{0};
   std::atomic<std::uint64_t> deadline_expired_{0};
 
+  // model_fingerprint() memo, indexed by int8 mode.
+  mutable std::mutex fingerprint_mu_;
+  mutable std::optional<std::uint64_t> model_fingerprint_[2];
+
   // Single-worker collapse (fixed at construction). inline_mu_
   // serializes concurrent score() callers over slabs_[0] and the arena.
   bool inline_mode_ = false;
   std::mutex inline_mu_;
 
-  telemetry::JsonlStream telemetry_;
   std::thread batcher_;
   std::thread forward_;
   std::atomic<bool> shut_down_{false};

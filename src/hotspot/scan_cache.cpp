@@ -1,13 +1,40 @@
 #include "hotspot/scan_cache.hpp"
 
+#include <sstream>
+#include <string>
+
 #include "common/check.hpp"
 
 namespace hsdl::hotspot {
+namespace {
+
+std::string describe(const CellScanCache::Binding& b) {
+  std::ostringstream os;
+  os << std::hex << "{source 0x" << b.source_fingerprint << ", model 0x"
+     << b.model_fingerprint << std::dec << ", window " << b.window_size
+     << " nm}";
+  return os.str();
+}
+
+}  // namespace
 
 CellScanCache::CellScanCache(std::size_t max_entries)
     : max_entries_(max_entries) {
   HSDL_CHECK_MSG(max_entries > 0,
                  "scan cache: max_entries must be positive");
+}
+
+void CellScanCache::bind(const Binding& binding) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!binding_) {
+    binding_ = binding;
+    return;
+  }
+  HSDL_CHECK_MSG(*binding_ == binding,
+                 "scan cache: bound to " << describe(*binding_)
+                                         << ", but this scan is "
+                                         << describe(binding)
+                                         << "; clear() the cache to rebind");
 }
 
 std::optional<double> CellScanCache::lookup(
@@ -48,6 +75,7 @@ void CellScanCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   map_.clear();
   stats_ = Stats{};
+  binding_.reset();
 }
 
 }  // namespace hsdl::hotspot

@@ -11,11 +11,14 @@
 // bitwise-identical normalized clips, and the engine's determinism
 // contract (engine/engine.hpp) means identical clips always score to
 // bitwise-identical probabilities — so replaying a cached probability
-// changes nothing about the scan output, only its cost. Consequently a
-// cache instance is valid for exactly one (source, detector weights,
-// window size) combination; reusing it across scans of the same source
-// with the same model is the intended pattern, anything else is on the
-// caller.
+// changes nothing about the scan output, only its cost. That holds for
+// one (source, window size, model) combination only, so the first scan
+// that uses a cache binds it to that combination: the source's
+// fingerprint, the window size and the engine's model fingerprint
+// (weights, threshold, fp32/int8 mode). A scan under any other binding
+// throws instead of replaying scores from the wrong model or chip;
+// clear() unbinds. Reusing one cache across scans of the same source
+// with the same model is the intended pattern.
 //
 // Thread-safe: shards of a sharded scan share one cache under a mutex.
 // The entry count is bounded; once full, new keys are counted as
@@ -27,6 +30,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "geom/coord.hpp"
 #include "layout/layout_source.hpp"
 
 namespace hsdl::hotspot {
@@ -36,6 +40,21 @@ class CellScanCache {
   /// `max_entries` bounds memory at ~48 bytes/entry; the default admits
   /// ~1M distinct (cell, offset) pairs.
   explicit CellScanCache(std::size_t max_entries = 1 << 20);
+
+  /// What a cache's entries were scored under.
+  struct Binding {
+    std::uint64_t source_fingerprint = 0;
+    geom::Coord window_size = 0;
+    std::uint64_t model_fingerprint = 0;
+
+    bool operator==(const Binding&) const = default;
+  };
+
+  /// Binds an unbound cache to `binding`; a no-op when it is already
+  /// bound to the same one. Throws CheckError, naming both bindings,
+  /// when it is bound to another. ChipScanner calls this before every
+  /// scan that uses the cache.
+  void bind(const Binding& binding);
 
   /// The cached probability for `key`, if any window with this key was
   /// already scored.
@@ -65,8 +84,8 @@ class CellScanCache {
   std::size_t size() const;
   std::size_t max_entries() const { return max_entries_; }
 
-  /// Drops every entry and zeroes the counters (e.g. after a model
-  /// update invalidates cached probabilities).
+  /// Drops every entry, zeroes the counters and unbinds the cache, so
+  /// the next scan may use another source, window size or model.
   void clear();
 
  private:
@@ -74,6 +93,7 @@ class CellScanCache {
   mutable std::mutex mu_;
   std::unordered_map<layout::WindowKey, double, layout::WindowKeyHash> map_;
   mutable Stats stats_;
+  std::optional<Binding> binding_;
 };
 
 }  // namespace hsdl::hotspot

@@ -9,6 +9,11 @@
 // the flagged windows. CNN detectors are routed through the batched
 // InferenceEngine (DESIGN.md §11) so feature extraction overlaps the
 // network forward pass.
+//
+// One scan loop serves every mode: a CellScanCache replays repeated
+// windows, ScanOptions::journal_path makes the scan crash-safe and
+// ScanOptions::shards spreads bands over engines. The modes compose,
+// and each one leaves the report bitwise unchanged.
 #pragma once
 
 #include <string>
@@ -41,6 +46,22 @@ struct ScanConfig {
   /// every engine-routed scan so a mismatch fails with a positioned
   /// message instead of an assertion deep inside extraction.
   void validate_for(const CnnDetector& detector) const;
+};
+
+/// How ChipScanner::scan runs; the defaults score every band on the
+/// calling thread with nothing journaled.
+struct ScanOptions {
+  /// Crash-safe scan: completed bands are journaled (checksummed,
+  /// band-granular) to this path as the scan progresses. If a previous
+  /// run died mid-scan, the journaled bands are replayed from disk and
+  /// only the remainder is scored. The file is deleted once the scan
+  /// completes. Empty: no journal.
+  std::string journal_path;
+  /// Band workers. 1 scores bands in order on the calling thread, with
+  /// extraction spread over the global pool. More run that many
+  /// workers, never more than the bands left to score; each owns an
+  /// engine and extracts serially on its own thread. Must be >= 1.
+  std::size_t shards = 1;
 };
 
 struct ScanHit {
@@ -103,37 +124,29 @@ class ChipScanner {
                   const Detector& detector) const;
 
   /// Scans through a caller-owned engine (reuse one engine — and its
-  /// warm workspace arena — across many chips). With a cache, windows
-  /// whose WindowKey was already scored are replayed instead of
-  /// extracted + scored; the report is bitwise identical either way
-  /// (the WindowKey contract plus the engine's per-sample determinism).
+  /// warm workspace arena — across many chips).
+  ///
+  /// With a cache, windows whose WindowKey was already scored are
+  /// replayed instead of extracted + scored. The first scan binds the
+  /// cache to this source, window size and engine model; a scan under
+  /// another binding throws CheckError.
+  ///
+  /// With options.journal_path set, the journal fingerprints the scan
+  /// geometry, the source's content and the engine's model (weights,
+  /// threshold, fp32/int8 mode): a journal left by a different scan is
+  /// discarded and every band rescanned.
+  ///
+  /// With options.shards > 1, bands are scored concurrently; shard 0
+  /// uses `engine`, the others engines built from engine.detector() and
+  /// engine.config(). Results merge in row-major band order.
+  ///
+  /// Cache, journal and shards compose, and the report is bitwise
+  /// identical to a plain scan under any of them (the WindowKey
+  /// contract plus the engine's per-sample determinism), whatever the
+  /// shard count of the run that wrote a resumed journal.
   ScanReport scan(const layout::LayoutSource& source, InferenceEngine& engine,
-                  CellScanCache* cache = nullptr) const;
-
-  /// Crash-safe scan: completed bands are journaled (checksummed,
-  /// band-granular) to `journal_path` as the scan progresses. If a
-  /// previous run died mid-scan, the journaled bands are replayed from
-  /// disk and only the remainder is scored — the merged report is
-  /// bitwise identical to an uninterrupted scan. The journal file is
-  /// deleted once the scan completes. The journal fingerprints the scan
-  /// geometry, the source's content and the engine's scoring model
-  /// (weights, threshold, fp32/int8 mode): a journal left by a different
-  /// model is discarded and every band is rescanned.
-  ScanReport scan_resumable(const layout::LayoutSource& source,
-                            InferenceEngine& engine,
-                            const std::string& journal_path,
-                            CellScanCache* cache = nullptr) const;
-
-  /// Scans with `shards` independent engine instances, bands assigned
-  /// round-robin (band % shards), each shard extracting serially on its
-  /// own thread. Band results are merged in row-major band order, so
-  /// the report is bitwise identical to the 1-shard scan no matter how
-  /// shards interleave. A shared cache (one mutex-guarded CellScanCache
-  /// across all shards) is sound for the same reason single-shard
-  /// caching is: every value a key can cache is bitwise identical.
-  ScanReport scan_sharded(const layout::LayoutSource& source,
-                          const CnnDetector& detector, std::size_t shards,
-                          CellScanCache* cache = nullptr) const;
+                  CellScanCache* cache = nullptr,
+                  const ScanOptions& options = {}) const;
 
  private:
   ScanConfig config_;

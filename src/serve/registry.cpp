@@ -23,7 +23,6 @@ ServingModel::ServingModel(std::uint64_t generation, std::string source,
   if (detector_->quantized_net() != nullptr) {
     hotspot::EngineConfig degraded = engine_config;
     degraded.quantized = true;
-    degraded.telemetry_path.clear();  // one telemetry stream per model
     degraded_engine_ =
         std::make_unique<hotspot::InferenceEngine>(*detector_, degraded);
   }

@@ -3,7 +3,8 @@
 // killed and resumed through the scan journal — produces a report
 // bitwise identical to the flat-expanded scan of the same geometry, on
 // generator-built hierarchies with nested and overlapping array
-// placements.
+// placements; and a cache refuses a scan under another model, source
+// or window size.
 #include "hotspot/scanner.hpp"
 
 #include <gtest/gtest.h>
@@ -202,12 +203,15 @@ TEST(HierScanTest, ShardCountNeverChangesTheReport) {
   const ScanReport flat_report =
       scanner.scan(layout::FlatSource(flat), flat_engine);
 
+  // The chip has 4 bands: 8 and 64 shards are capped at 4 workers.
   const layout::HierSource source(hier, 1);
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{8}}) {
+                                   std::size_t{8}, std::size_t{64}}) {
+    SCOPED_TRACE(shards);
     CellScanCache cache;
+    InferenceEngine engine(detector);
     const ScanReport sharded =
-        scanner.scan_sharded(source, detector, shards, &cache);
+        scanner.scan(source, engine, &cache, {.shards = shards});
     expect_same_report(flat_report, sharded);
   }
 }
@@ -235,8 +239,9 @@ TEST(HierScanTest, OverlappingAndNestedPlacementsStayBitwise) {
             hier_report.windows_scanned);
 
   CellScanCache shard_cache;
-  expect_same_report(flat_report,
-                     scanner.scan_sharded(source, detector, 2, &shard_cache));
+  InferenceEngine shard_engine(detector);
+  expect_same_report(flat_report, scanner.scan(source, shard_engine,
+                                               &shard_cache, {.shards = 2}));
 }
 
 TEST(HierScanTest, KilledHierScanResumesBitwiseIdentical) {
@@ -257,15 +262,15 @@ TEST(HierScanTest, KilledHierScanResumesBitwiseIdentical) {
     fault::ScopedPlan armed(std::move(plan));
     InferenceEngine engine(detector);
     CellScanCache cache;
-    EXPECT_THROW(scanner.scan_resumable(source, engine, path, &cache),
+    EXPECT_THROW(scanner.scan(source, engine, &cache, {.journal_path = path}),
                  CheckError);
   }
   ASSERT_TRUE(std::filesystem::exists(path));
 
   InferenceEngine resume_engine(detector);
   CellScanCache resume_cache;
-  const ScanReport resumed =
-      scanner.scan_resumable(source, resume_engine, path, &resume_cache);
+  const ScanReport resumed = scanner.scan(source, resume_engine, &resume_cache,
+                                          {.journal_path = path});
   expect_same_report(clean, resumed);
   EXPECT_FALSE(std::filesystem::exists(path));
 }
@@ -290,7 +295,45 @@ TEST(HierScanTest, ShardedScanValidatesShardCount) {
   const layout::HierSource source(hier, 1);
   const CnnDetector detector(small_config());
   const ChipScanner scanner(band_per_row_config());
-  EXPECT_THROW(scanner.scan_sharded(source, detector, 0), CheckError);
+  InferenceEngine engine(detector);
+  EXPECT_THROW(scanner.scan(source, engine, nullptr, {.shards = 0}),
+               CheckError);
+}
+
+TEST(HierScanTest, CacheBindsToItsModelSourceAndWindow) {
+  const layout::HierLayout hier = array_chip();
+  const layout::HierSource source(hier, 1);
+  const CnnDetector detector_a(small_config());
+  CnnDetectorConfig config_b = small_config();
+  config_b.cnn.seed = 43;  // same architecture, different weights
+  const CnnDetector detector_b(config_b);
+  const ChipScanner scanner(band_per_row_config());
+
+  CellScanCache cache;
+  InferenceEngine engine_a(detector_a);
+  scanner.scan(source, engine_a, &cache);
+  ASSERT_GT(cache.size(), 0u);
+
+  // Replaying A's scores into a scan under B would report A's model.
+  InferenceEngine engine_b(detector_b);
+  EXPECT_THROW(scanner.scan(source, engine_b, &cache), CheckError);
+  EXPECT_EQ(engine_b.stats().requests, 0u);
+
+  // Another source or window size is another binding too.
+  const layout::Layout flat = flat_expansion(hier);
+  EXPECT_THROW(scanner.scan(layout::FlatSource(flat), engine_a, &cache),
+               CheckError);
+  ScanConfig wide = band_per_row_config();
+  wide.window_size = 2400;
+  wide.stride = 2400;
+  EXPECT_THROW(ChipScanner(wide).scan(source, engine_a, &cache), CheckError);
+
+  // The same binding reuses the cache; clear() unbinds it for B.
+  EXPECT_EQ(scanner.scan(source, engine_a, &cache).windows_from_cache, 16u);
+  cache.clear();
+  InferenceEngine flat_engine_b(detector_b);
+  expect_same_report(scanner.scan(layout::FlatSource(flat), flat_engine_b),
+                     scanner.scan(source, engine_b, &cache));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -89,7 +90,9 @@ TEST(ScanResumeTest, KilledScanResumesBitwiseIdentical) {
                           /*start_after=*/2, /*max_fires=*/0});
     fault::ScopedPlan armed(std::move(plan));
     InferenceEngine engine(detector);
-    EXPECT_THROW(scanner.scan_resumable(source, engine, path), CheckError);
+    EXPECT_THROW(
+        scanner.scan(source, engine, nullptr, {.journal_path = path}),
+        CheckError);
   }
   ASSERT_TRUE(std::filesystem::exists(path));
 
@@ -97,7 +100,7 @@ TEST(ScanResumeTest, KilledScanResumesBitwiseIdentical) {
   // each) are scored; bands 0-1 replay from the journal.
   InferenceEngine resume_engine(detector);
   const ScanReport resumed =
-      scanner.scan_resumable(source, resume_engine, path);
+      scanner.scan(source, resume_engine, nullptr, {.journal_path = path});
   expect_same_report(clean, resumed);
   EXPECT_EQ(resume_engine.stats().requests, 4u);
   // A completed scan cleans up its resume state.
@@ -125,7 +128,9 @@ TEST(ScanResumeTest, ResumeUnderADifferentModelRescansEveryBand) {
                           /*start_after=*/2, /*max_fires=*/0});
     fault::ScopedPlan armed(std::move(plan));
     InferenceEngine engine(detector_a);
-    EXPECT_THROW(scanner.scan_resumable(source, engine, path), CheckError);
+    EXPECT_THROW(
+        scanner.scan(source, engine, nullptr, {.journal_path = path}),
+        CheckError);
   }
   ASSERT_TRUE(std::filesystem::exists(path));
 
@@ -133,10 +138,58 @@ TEST(ScanResumeTest, ResumeUnderADifferentModelRescansEveryBand) {
   // and reports exactly what an uninterrupted B scan reports.
   InferenceEngine resume_engine(detector_b);
   const ScanReport resumed =
-      scanner.scan_resumable(source, resume_engine, path);
+      scanner.scan(source, resume_engine, nullptr, {.journal_path = path});
   expect_same_report(clean, resumed);
   EXPECT_EQ(resume_engine.stats().requests, 8u);
   EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(ScanResumeTest, ResumeAcrossShardCountsIsBitwiseIdentical) {
+  const layout::Layout chip = test_chip();
+  const layout::FlatSource source(chip);
+  const CnnDetector detector(small_config());
+  const ChipScanner scanner(band_per_row_config());
+  const std::string path = temp_path("hsdl_scan_resume_shards.journal");
+
+  InferenceEngine clean_engine(detector);
+  const ScanReport clean = scanner.scan(source, clean_engine);
+
+  // Killed at 2 shards and resumed at 1, then the reverse. Whichever
+  // bands the killed run journaled, the resumed report is the
+  // uninterrupted one.
+  const std::pair<std::size_t, std::size_t> runs[] = {{2, 1}, {1, 2}};
+  for (const auto& [killed_shards, resumed_shards] : runs) {
+    SCOPED_TRACE(std::to_string(killed_shards) + " -> " +
+                 std::to_string(resumed_shards) + " shards");
+    std::filesystem::remove(path);
+    {
+      // The first two bands pass the fault point and are journaled;
+      // every later band start fails.
+      fault::Plan plan;
+      plan.specs.push_back({"scan.band", fault::Kind::kFail, 1.0, 0.0,
+                            /*start_after=*/2, /*max_fires=*/0});
+      fault::ScopedPlan armed(std::move(plan));
+      InferenceEngine engine(detector);
+      EXPECT_THROW(scanner.scan(source, engine, nullptr,
+                                {.journal_path = path,
+                                 .shards = killed_shards}),
+                   CheckError);
+    }
+    ASSERT_TRUE(std::filesystem::exists(path));
+    EXPECT_EQ(ScanJournal(path, ScanJournal::fingerprint(
+                                    band_per_row_config(), chip.extent(),
+                                    source.fingerprint(),
+                                    detector.model_fingerprint(false)))
+                  .bands(),
+              2u);
+
+    InferenceEngine resume_engine(detector);
+    const ScanReport resumed =
+        scanner.scan(source, resume_engine, nullptr,
+                     {.journal_path = path, .shards = resumed_shards});
+    expect_same_report(clean, resumed);
+    EXPECT_FALSE(std::filesystem::exists(path));
+  }
 }
 
 TEST(ScanResumeTest, ModelFingerprintCoversWeightsThresholdAndMode) {
