@@ -73,12 +73,13 @@ int main() {
   hotspot::CnnDetector detector(serving_detector_config());
 
   // -- single-thread end-to-end latency: the raw-speed comparison.
-  // One thread, per-clip serving (rasterize + DCT + forward), three
+  // One thread, per-clip serving (feature extraction + forward), three
   // models over the same window stream:
-  //   baseline_im2col_fp32 — reference mode: the exact pre-optimization
-  //                          pipeline (per-block DCT, im2col+GEMM conv,
-  //                          unfused layers, allocating rasterizer);
-  //   direct_fp32          — banded DCT + direct/fused conv kernels;
+  //   baseline_im2col_fp32 — reference mode: the pre-optimization
+  //                          pipeline (rasterize + per-block DCT,
+  //                          im2col+GEMM conv, unfused layers);
+  //   direct_fp32          — row-run slab extraction + direct/fused conv
+  //                          kernels;
   //   int8                 — the quantized serving path on top of that.
   set_num_threads(1);
   const std::size_t n_st = smoke ? 24 : 96;

@@ -1,12 +1,13 @@
 // Process-wide reference-mode switch for the serving fast paths.
 //
-// The direct-convolution, operator-fusion and banded-DCT fast paths each
-// keep their original implementation alive as a reference oracle. With
-// reference mode on, Conv2d falls back to im2col+GEMM, Sequential::infer
-// runs every layer unfused, and feature extraction uses the per-block
-// path — i.e. the exact pre-optimization serving pipeline. Benchmarks use
-// it to measure the honest baseline; equivalence tests flip it to assert
-// the fast paths match bitwise.
+// The direct-convolution, operator-fusion and feature-extraction fast
+// paths each keep their original implementation alive as a reference
+// oracle. With reference mode on, Conv2d falls back to im2col+GEMM,
+// Sequential::infer runs every layer unfused, and feature extraction runs
+// rasterize + a per-block DCT — the pre-optimization serving pipeline.
+// Benchmarks use it to measure the honest baseline; equivalence tests
+// flip it to assert the fast paths match (features: within float
+// rounding, see fte/feature_tensor.hpp).
 //
 // The flag is read per call with relaxed ordering: flip it only while no
 // inference is in flight (benchmarks and tests do so between phases).

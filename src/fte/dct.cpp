@@ -3,13 +3,7 @@
 #include <cmath>
 #include <numbers>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-#define HSDL_DCT_AVX2 1
-#endif
-
 #include "common/check.hpp"
-#include "common/cpuinfo.hpp"
 
 namespace hsdl::fte {
 
@@ -30,256 +24,6 @@ DctPlan::DctPlan(std::size_t block_size) : block_(block_size) {
   }
 }
 
-namespace {
-
-/// Per-call scratch for the separable passes: stack storage for the
-/// common small kp x B case, heap beyond. Keeping scratch out of the plan
-/// is what makes concurrent partial()/inverse_partial() calls on one
-/// plan safe.
-class Scratch {
- public:
-  explicit Scratch(std::size_t n) {
-    if (n > kStack) {
-      heap_.resize(n);
-      ptr_ = heap_.data();
-    }
-  }
-  float* data() { return ptr_; }
-
- private:
-  static constexpr std::size_t kStack = 4096;
-  float stack_[kStack];
-  std::vector<float> heap_;
-  float* ptr_ = stack_;
-};
-
-/// dst[x] += c * src[x]. Separate multiply + add in both variants (the
-/// AVX2 target deliberately excludes FMA) so every element rounds like the
-/// scalar reference loop in partial().
-void band_axpy_scalar(float* dst, const float* src, float c, std::size_t n) {
-  for (std::size_t x = 0; x < n; ++x) dst[x] += c * src[x];
-}
-
-#ifdef HSDL_DCT_AVX2
-__attribute__((target("avx2"))) void band_axpy_avx2(float* dst,
-                                                    const float* src, float c,
-                                                    std::size_t n) {
-  const __m256 cv = _mm256_set1_ps(c);
-  std::size_t x = 0;
-  for (; x + 8 <= n; x += 8) {
-    const __m256 prod = _mm256_mul_ps(cv, _mm256_loadu_ps(src + x));
-    _mm256_storeu_ps(dst + x, _mm256_add_ps(_mm256_loadu_ps(dst + x), prod));
-  }
-  for (; x < n; ++x) dst[x] += c * src[x];
-}
-#endif
-
-inline void band_axpy(float* dst, const float* src, float c, std::size_t n) {
-#ifdef HSDL_DCT_AVX2
-  if (cpu::has_avx2_fma()) {
-    band_axpy_avx2(dst, src, c, n);
-    return;
-  }
-#endif
-  band_axpy_scalar(dst, src, c, n);
-}
-
-// ---------------------------------------------------------------------------
-// Register-blocked pass 1 for the serving corner sizes (kp <= 8).
-//
-// The per-m axpy sweep above streams the band once per frequency row —
-// kp full passes over B x width pixels. The blocked kernels below walk
-// the band once total: for each column tile they hold all kp partial
-// sums in registers while the B source rows stream by. Per output
-// element the arithmetic is unchanged — ascending y, one multiply and
-// one add per term — so the result is bitwise identical to the sweep;
-// only the loop nest (and the number of source loads) differs.
-
-template <std::size_t KP>
-void band_pass1_scalar(const float* rows, std::size_t width, std::size_t B,
-                       const float* basis, float* tmp) {
-  for (std::size_t x = 0; x < width; ++x) {
-    float acc[KP] = {};
-    for (std::size_t y = 0; y < B; ++y) {
-      const float v = rows[y * width + x];
-      for (std::size_t m = 0; m < KP; ++m) acc[m] += basis[m * B + y] * v;
-    }
-    for (std::size_t m = 0; m < KP; ++m) tmp[m * width + x] = acc[m];
-  }
-}
-
-#ifdef HSDL_DCT_AVX2
-template <std::size_t KP>
-__attribute__((target("avx2"))) void band_pass1_avx2(const float* rows,
-                                                     std::size_t width,
-                                                     std::size_t B,
-                                                     const float* basis,
-                                                     float* tmp) {
-  std::size_t x = 0;
-  // Two tiles per sweep where the register budget allows (2*KP partial
-  // sums + two source vectors + one broadcast must fit in 16 ymm regs):
-  // each basis broadcast then feeds 16 lanes instead of 8.
-  if constexpr (KP <= 6) {
-    for (; x + 16 <= width; x += 16) {
-      __m256 acc0[KP], acc1[KP];
-      for (std::size_t m = 0; m < KP; ++m) {
-        acc0[m] = _mm256_setzero_ps();
-        acc1[m] = _mm256_setzero_ps();
-      }
-      for (std::size_t y = 0; y < B; ++y) {
-        const __m256 v0 = _mm256_loadu_ps(rows + y * width + x);
-        const __m256 v1 = _mm256_loadu_ps(rows + y * width + x + 8);
-        for (std::size_t m = 0; m < KP; ++m) {
-          const __m256 b = _mm256_set1_ps(basis[m * B + y]);
-          acc0[m] = _mm256_add_ps(acc0[m], _mm256_mul_ps(b, v0));
-          acc1[m] = _mm256_add_ps(acc1[m], _mm256_mul_ps(b, v1));
-        }
-      }
-      for (std::size_t m = 0; m < KP; ++m) {
-        _mm256_storeu_ps(tmp + m * width + x, acc0[m]);
-        _mm256_storeu_ps(tmp + m * width + x + 8, acc1[m]);
-      }
-    }
-  }
-  for (; x + 8 <= width; x += 8) {
-    __m256 acc[KP];
-    for (std::size_t m = 0; m < KP; ++m) acc[m] = _mm256_setzero_ps();
-    for (std::size_t y = 0; y < B; ++y) {
-      const __m256 v = _mm256_loadu_ps(rows + y * width + x);
-      for (std::size_t m = 0; m < KP; ++m) {
-        const __m256 prod = _mm256_mul_ps(_mm256_set1_ps(basis[m * B + y]), v);
-        acc[m] = _mm256_add_ps(acc[m], prod);
-      }
-    }
-    for (std::size_t m = 0; m < KP; ++m)
-      _mm256_storeu_ps(tmp + m * width + x, acc[m]);
-  }
-  for (; x < width; ++x) {
-    float acc[KP] = {};
-    for (std::size_t y = 0; y < B; ++y) {
-      const float v = rows[y * width + x];
-      for (std::size_t m = 0; m < KP; ++m) acc[m] += basis[m * B + y] * v;
-    }
-    for (std::size_t m = 0; m < KP; ++m) tmp[m * width + x] = acc[m];
-  }
-}
-#endif
-
-using BandPass1Fn = void (*)(const float*, std::size_t, std::size_t,
-                             const float*, float*);
-
-template <std::size_t KP>
-constexpr BandPass1Fn pass1_scalar_fn() {
-  return &band_pass1_scalar<KP>;
-}
-
-BandPass1Fn select_pass1(std::size_t kp) {
-#ifdef HSDL_DCT_AVX2
-  if (cpu::has_avx2_fma()) {
-    switch (kp) {
-      case 1: return &band_pass1_avx2<1>;
-      case 2: return &band_pass1_avx2<2>;
-      case 3: return &band_pass1_avx2<3>;
-      case 4: return &band_pass1_avx2<4>;
-      case 5: return &band_pass1_avx2<5>;
-      case 6: return &band_pass1_avx2<6>;
-      case 7: return &band_pass1_avx2<7>;
-      default: return &band_pass1_avx2<8>;
-    }
-  }
-#endif
-  switch (kp) {
-    case 1: return pass1_scalar_fn<1>();
-    case 2: return pass1_scalar_fn<2>();
-    case 3: return pass1_scalar_fn<3>();
-    case 4: return pass1_scalar_fn<4>();
-    case 5: return pass1_scalar_fn<5>();
-    case 6: return pass1_scalar_fn<6>();
-    case 7: return pass1_scalar_fn<7>();
-    default: return pass1_scalar_fn<8>();
-  }
-}
-
-// Pass 2 twins: one 8-lane accumulator per frequency row covers every n
-// at once (basis_t rows are zero-padded to kTransposedStride), and one
-// kernel call transforms a whole block — all MP rows share each basis
-// load and the per-row call overhead disappears. Lanes are independent
-// and each (m, n) output accumulates ascending-x multiply+add exactly
-// like the scalar dot in partial(), so scalar and AVX2 agree bitwise.
-
-template <std::size_t MP>
-void corner_pass2_scalar(const float* tmp, std::size_t width, std::size_t x0,
-                         std::size_t B, std::size_t kp, const float* basis_t,
-                         float* out) {
-  float acc[MP][8] = {};
-  for (std::size_t x = 0; x < B; ++x) {
-    const float* bt = basis_t + x * DctPlan::kTransposedStride;
-    for (std::size_t m = 0; m < MP; ++m) {
-      const float t = tmp[m * width + x0 + x];
-      for (std::size_t n = 0; n < 8; ++n) acc[m][n] += t * bt[n];
-    }
-  }
-  for (std::size_t m = 0; m < MP; ++m)
-    for (std::size_t n = 0; n < kp; ++n) out[m * kp + n] = acc[m][n];
-}
-
-#ifdef HSDL_DCT_AVX2
-template <std::size_t MP>
-__attribute__((target("avx2"))) void corner_pass2_avx2(
-    const float* tmp, std::size_t width, std::size_t x0, std::size_t B,
-    std::size_t kp, const float* basis_t, float* out) {
-  __m256 acc[MP];
-  for (std::size_t m = 0; m < MP; ++m) acc[m] = _mm256_setzero_ps();
-  for (std::size_t x = 0; x < B; ++x) {
-    const __m256 bt =
-        _mm256_loadu_ps(basis_t + x * DctPlan::kTransposedStride);
-    for (std::size_t m = 0; m < MP; ++m) {
-      const __m256 prod =
-          _mm256_mul_ps(_mm256_set1_ps(tmp[m * width + x0 + x]), bt);
-      acc[m] = _mm256_add_ps(acc[m], prod);
-    }
-  }
-  alignas(32) float lanes[8];
-  for (std::size_t m = 0; m < MP; ++m) {
-    _mm256_store_ps(lanes, acc[m]);
-    for (std::size_t n = 0; n < kp; ++n) out[m * kp + n] = lanes[n];
-  }
-}
-#endif
-
-using CornerPass2Fn = void (*)(const float*, std::size_t, std::size_t,
-                               std::size_t, std::size_t, const float*,
-                               float*);
-
-CornerPass2Fn select_pass2(std::size_t mp) {
-#ifdef HSDL_DCT_AVX2
-  if (cpu::has_avx2_fma()) {
-    switch (mp) {
-      case 1: return &corner_pass2_avx2<1>;
-      case 2: return &corner_pass2_avx2<2>;
-      case 3: return &corner_pass2_avx2<3>;
-      case 4: return &corner_pass2_avx2<4>;
-      case 5: return &corner_pass2_avx2<5>;
-      case 6: return &corner_pass2_avx2<6>;
-      case 7: return &corner_pass2_avx2<7>;
-      default: return &corner_pass2_avx2<8>;
-    }
-  }
-#endif
-  switch (mp) {
-    case 1: return &corner_pass2_scalar<1>;
-    case 2: return &corner_pass2_scalar<2>;
-    case 3: return &corner_pass2_scalar<3>;
-    case 4: return &corner_pass2_scalar<4>;
-    case 5: return &corner_pass2_scalar<5>;
-    case 6: return &corner_pass2_scalar<6>;
-    case 7: return &corner_pass2_scalar<7>;
-    default: return &corner_pass2_scalar<8>;
-  }
-}
-
-}  // namespace
-
 // out = C * in * C^T, evaluated as tmp = in * C^T (rows transformed),
 // then out = C * tmp (columns transformed).
 void DctPlan::forward(const float* in, float* out) const {
@@ -289,7 +33,8 @@ void DctPlan::forward(const float* in, float* out) const {
 void DctPlan::partial(const float* in, std::size_t kp, float* out) const {
   HSDL_CHECK(kp > 0 && kp <= block_);
   const std::size_t B = block_;
-  Scratch scratch(kp * B);
+  // Per-call scratch, so concurrent calls on one plan are safe.
+  std::vector<float> scratch(kp * B);
   float* tmp = scratch.data();  // kp x B: rows = frequency m, cols = x
   // tmp[m][x] = sum_y C[m][y] * in[y][x]  (transform columns)
   for (std::size_t m = 0; m < kp; ++m) {
@@ -314,42 +59,6 @@ void DctPlan::partial(const float* in, std::size_t kp, float* out) const {
   }
 }
 
-void DctPlan::partial_band(const float* rows, std::size_t width,
-                           std::size_t kp, float* tmp) const {
-  HSDL_CHECK(kp > 0 && kp <= block_);
-  const std::size_t B = block_;
-  if (kp <= 8) {
-    select_pass1(kp)(rows, width, B, basis_.data(), tmp);
-    return;
-  }
-  // Wide corners (only reachable from exotic configs): the original
-  // per-m axpy sweep, same y-ascending accumulation per element.
-  for (std::size_t m = 0; m < kp; ++m) {
-    const float* cm = &basis_[m * B];
-    float* trow = tmp + m * width;
-    for (std::size_t x = 0; x < width; ++x) trow[x] = 0.0f;
-    for (std::size_t y = 0; y < B; ++y)
-      band_axpy(trow, rows + y * width, cm[y], width);
-  }
-}
-
-void DctPlan::partial_corner_from_band(const float* tmp, std::size_t width,
-                                       std::size_t x0, std::size_t kp,
-                                       std::size_t mp, const float* basis_t,
-                                       float* out) const {
-  const std::size_t B = block_;
-  HSDL_CHECK(kp > 0 && kp <= 8 && mp > 0 && mp <= kp);
-  select_pass2(mp)(tmp, width, x0, B, kp, basis_t, out);
-}
-
-void DctPlan::transpose_corner_basis(std::size_t kp, float* bt) const {
-  HSDL_CHECK(kp > 0 && kp <= 8 && kp <= block_);
-  const std::size_t B = block_;
-  for (std::size_t x = 0; x < B; ++x)
-    for (std::size_t n = 0; n < kTransposedStride; ++n)
-      bt[x * kTransposedStride + n] = n < kp ? basis_[n * B + x] : 0.0f;
-}
-
 void DctPlan::inverse(const float* in, float* out) const {
   inverse_partial(in, block_, out);
 }
@@ -358,7 +67,7 @@ void DctPlan::inverse_partial(const float* in, std::size_t kp,
                               float* out) const {
   HSDL_CHECK(kp > 0 && kp <= block_);
   const std::size_t B = block_;
-  Scratch scratch(kp * B);
+  std::vector<float> scratch(kp * B);
   float* tmp = scratch.data();  // kp x B: tmp[m][x] = sum_n in[m][n] C[n][x]
   for (std::size_t m = 0; m < kp; ++m) {
     float* trow = &tmp[m * B];

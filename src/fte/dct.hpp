@@ -8,8 +8,9 @@
 //
 // Separable evaluation through a precomputed basis matrix gives
 // O(B^3) per block; `partial()` computes only the low-frequency
-// top-left kp x kp corner in O(kp * B^2), which is what feature tensor
-// extraction needs (the zig-zag keeps only the first k coefficients).
+// top-left kp x kp corner in O(kp * B^2). Feature extraction uses it only
+// as the reference-mode oracle: production extraction integrates basis()
+// over pixel runs instead (fte/feature_tensor.hpp).
 #pragma once
 
 #include <cstddef>
@@ -41,47 +42,9 @@ class DctPlan {
   /// Inverse from a partial kp x kp corner (higher coefficients zero).
   void inverse_partial(const float* in, std::size_t kp, float* out) const;
 
-  // --- Banded fast path -----------------------------------------------
-  // Feature extraction runs partial() on every BxB block of a raster. The
-  // column pass (pass 1) only ever combines pixels within one raster band
-  // of B rows, so it can run once over the whole band instead of once per
-  // gathered block copy; the row pass then reads its block's columns out
-  // of the band. Each output element accumulates the same terms in the
-  // same order as partial(), so the results are bitwise identical — the
-  // band just removes the per-block gather and vectorizes across columns
-  // (element-independent multiply+add, which cannot change per-element
-  // rounding). For kp <= 8 pass 1 runs register-blocked: all kp partial
-  // sums live in registers while the band streams by once, instead of kp
-  // sweeps over the band.
-
-  /// Row stride of the zero-padded transposed basis used by pass 2 (and
-  /// its lane count: one 8-wide vector covers every n of a kp <= 8
-  /// corner).
-  static constexpr std::size_t kTransposedStride = 8;
-
-  /// Pass 1 over a band: rows is B x width row-major (B = block_size()),
-  /// tmp is kp x width with tmp[m*width + x] = sum_y C[m][y]*rows[y*width+x].
-  /// Callers that only consume a prefix of frequency rows (the zig-zag
-  /// prefix rarely needs the full corner height) can pass that smaller
-  /// row count as kp.
-  void partial_band(const float* rows, std::size_t width, std::size_t kp,
-                    float* tmp) const;
-
-  /// Pass 2 for the block whose columns start at x0: out[m*kp + n] =
-  /// sum_x tmp[m*width + x0 + x] * C[n][x], accumulated x-ascending like
-  /// partial(), for the first `mp` frequency rows (mp <= kp; rows beyond
-  /// mp are left untouched). `basis_t` comes from
-  /// transpose_corner_basis(). Requires kp <= 8.
-  void partial_corner_from_band(const float* tmp, std::size_t width,
-                                std::size_t x0, std::size_t kp,
-                                std::size_t mp, const float* basis_t,
-                                float* out) const;
-
-  /// Fills bt (B x kTransposedStride row-major, zero-padded) with
-  /// bt[x*kTransposedStride + n] = basis[n][x] for n < kp: the transposed
-  /// corner basis pass 2 reads with stride-1 x-major access. Requires
-  /// kp <= 8.
-  void transpose_corner_basis(std::size_t kp, float* bt) const;
+  /// Row-major B x B orthonormal basis: basis()[m * B + x] is the m-th
+  /// cosine at pixel x. Feature extraction integrates it over pixel runs.
+  const std::vector<float>& basis() const { return basis_; }
 
  private:
   std::size_t block_;

@@ -1,6 +1,7 @@
 #include "fte/feature_tensor.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "common/check.hpp"
@@ -13,21 +14,141 @@
 namespace hsdl::fte {
 namespace {
 
-/// corner_for_prefix rebuilds the full zig-zag walk (allocating) for
-/// every candidate corner size, which is far too slow to re-derive per
-/// window on the serving path. The answer only depends on (B, k), so
-/// cache the last result per thread — serving hits one shape forever.
-std::size_t cached_corner_for_prefix(std::size_t block, std::size_t k) {
-  thread_local std::size_t c_block = 0, c_k = 0, c_kp = 0;
-  if (c_block != block || c_k != k) {
-    c_kp = corner_for_prefix(block, k);
-    c_block = block;
-    c_k = k;
-  }
-  return c_kp;
+FeatureTensor zero_tensor(const FeatureTensorConfig& config) {
+  const std::size_t n = config.blocks_per_side;
+  const std::size_t k = config.coeffs;
+  return {n, k, std::vector<float>(k * n * n, 0.0f)};
 }
 
 }  // namespace
+
+/// Canonical row-run slabs of a binary mask: maximal runs of rows inside
+/// one block row whose runs of 1-pixels are identical, by ascending y.
+/// Rows without a run get no slab. A clip and its raster reduce to the
+/// same slabs, so extract_slabs adds the same terms in the same order for
+/// both.
+struct FeatureTensorExtractor::Slabs {
+  struct Run {
+    std::size_t x0, x1;
+    friend bool operator==(const Run&, const Run&) = default;
+  };
+  struct Slab {
+    std::size_t y0, y1;
+    std::size_t begin, end;  ///< runs[begin, end), ascending x
+  };
+
+  std::size_t block = 0;
+  std::vector<Slab> slabs;
+  std::vector<Run> runs;
+
+  /// Appends rows [y0, y1) (inside one block row) whose runs are
+  /// `row_runs`: sorted, neither overlapping nor touching. Extends the
+  /// last slab instead when it ends at y0 in the same block row with the
+  /// same runs.
+  void add(std::size_t y0, std::size_t y1, std::span<const Run> row_runs) {
+    if (row_runs.empty()) return;
+    if (!slabs.empty()) {
+      Slab& last = slabs.back();
+      if (last.y1 == y0 && y0 % block != 0 &&
+          std::ranges::equal(
+              std::span(runs).subspan(last.begin, last.end - last.begin),
+              row_runs)) {
+        last.y1 = y1;
+        return;
+      }
+    }
+    slabs.push_back({y0, y1, runs.size(), runs.size() + row_runs.size()});
+    runs.insert(runs.end(), row_runs.begin(), row_runs.end());
+  }
+
+  /// Raster front end: the runs of each row; a row bitwise equal to the
+  /// previous row of its block row extends the current slab unread.
+  static Slabs from_raster(const layout::MaskImage& raster,
+                           std::size_t block) {
+    Slabs s;
+    s.block = block;
+    std::vector<Run> row_runs;
+    const std::size_t width = raster.width();
+    for (std::size_t y = 0; y < raster.height(); ++y) {
+      const float* row = raster.row(y);
+      if (y % block != 0 &&
+          std::memcmp(row, raster.row(y - 1), width * sizeof(float)) == 0) {
+        if (!s.slabs.empty() && s.slabs.back().y1 == y) ++s.slabs.back().y1;
+        continue;
+      }
+      row_runs.clear();
+      for (std::size_t x = 0; x < width;) {
+        if (row[x] == 0.0f) {
+          ++x;
+          continue;
+        }
+        HSDL_CHECK_MSG(row[x] == 1.0f,
+                       "feature extraction expects a binary raster; pixel ("
+                           << x << ", " << y << ") is " << row[x]);
+        const std::size_t x0 = x;
+        while (x < width && row[x] == 1.0f) ++x;
+        row_runs.push_back({x0, x});
+      }
+      s.add(y, y + 1, row_runs);
+    }
+    return s;
+  }
+
+  /// Clip front end: each shape's covered pixels, y cut at shape edges and
+  /// block rows, and each cut's x-intervals merged where they overlap or
+  /// touch (raster runs are maximal).
+  static Slabs from_clip(const layout::Clip& clip,
+                         const layout::PixelGrid& grid, std::size_t block) {
+    Slabs s;
+    s.block = block;
+    std::vector<layout::PixelRect> rects;
+    std::vector<std::size_t> cuts;
+    for (const geom::Rect& shape : clip.shapes) {
+      const layout::PixelRect p = grid.covered(shape);
+      if (p.empty()) continue;
+      rects.push_back(p);
+      cuts.push_back(p.y0);
+      cuts.push_back(p.y1);
+    }
+    for (std::size_t y = 0; y <= grid.height(); y += block) cuts.push_back(y);
+    std::ranges::sort(cuts);
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+    std::ranges::sort(rects, {}, &layout::PixelRect::y0);
+
+    std::vector<layout::PixelRect> active;
+    std::vector<Run> row_runs;
+    std::size_t next = 0;
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      const std::size_t y0 = cuts[i];
+      std::erase_if(active, [&](const auto& r) { return r.y1 <= y0; });
+      while (next < rects.size() && rects[next].y0 <= y0)
+        active.push_back(rects[next++]);
+      std::ranges::sort(active, {}, &layout::PixelRect::x0);
+      row_runs.clear();
+      for (const layout::PixelRect& r : active) {
+        if (!row_runs.empty() && r.x0 <= row_runs.back().x1)
+          row_runs.back().x1 = std::max(row_runs.back().x1, r.x1);
+        else
+          row_runs.push_back({r.x0, r.x1});
+      }
+      s.add(y0, cuts[i + 1], row_runs);
+    }
+    return s;
+  }
+};
+
+FeatureTensorExtractor::BlockPlan::BlockPlan(std::size_t block,
+                                             std::size_t coeffs)
+    : dct(block), kp(corner_for_prefix(block, std::min(coeffs, block * block))) {
+  order = zigzag_order(kp);
+  order.resize(std::min(coeffs, block * block));
+  prefix.assign(kp * (block + 1), 0.0);
+  for (std::size_t m = 0; m < kp; ++m) {
+    double* p = &prefix[m * (block + 1)];
+    for (std::size_t x = 0; x < block; ++x)
+      p[x + 1] = p[x] + static_cast<double>(dct.basis()[m * block + x]);
+  }
+}
 
 FeatureTensorExtractor::FeatureTensorExtractor(
     const FeatureTensorConfig& config)
@@ -37,13 +158,14 @@ FeatureTensorExtractor::FeatureTensorExtractor(
   HSDL_CHECK(config.nm_per_px > 0.0);
 }
 
-const DctPlan& FeatureTensorExtractor::plan_for(std::size_t block) const {
+const FeatureTensorExtractor::BlockPlan& FeatureTensorExtractor::plan_for(
+    std::size_t block) const {
   // Lock-free fast path: extraction hits one block size almost always, so
   // the last plan used is published in an atomic. Plans are immutable and
   // never deallocated while the extractor lives, so a stale pointer is
   // safe to read — it either matches or we fall through to the mutex.
-  const DctPlan* cached = plan_cache_.load(std::memory_order_acquire);
-  if (cached != nullptr && cached->block_size() == block) return *cached;
+  const BlockPlan* cached = plan_cache_.load(std::memory_order_acquire);
+  if (cached != nullptr && cached->dct.block_size() == block) return *cached;
   std::lock_guard<std::mutex> lock(plans_mu_);
   for (const auto& [size, plan] : plans_) {
     if (size == block) {
@@ -51,28 +173,16 @@ const DctPlan& FeatureTensorExtractor::plan_for(std::size_t block) const {
       return *plan;
     }
   }
-  plans_.emplace_back(block, std::make_unique<DctPlan>(block));
-  const DctPlan* fresh = plans_.back().second.get();
+  plans_.emplace_back(block,
+                      std::make_unique<BlockPlan>(block, config_.coeffs));
+  const BlockPlan* fresh = plans_.back().second.get();
   plan_cache_.store(fresh, std::memory_order_release);
   return *fresh;
 }
 
-std::size_t FeatureTensorExtractor::block_px(
-    const layout::MaskImage& raster) const {
-  const std::size_t n = config_.blocks_per_side;
-  HSDL_CHECK_MSG(raster.width() == raster.height(),
-                 "feature tensor extraction expects a square raster, got "
-                     << raster.width() << "x" << raster.height());
-  HSDL_CHECK_MSG(raster.width() % n == 0,
-                 "raster side " << raster.width()
-                                << " is not divisible into " << n
-                                << " blocks");
-  return raster.width() / n;
-}
-
-void FeatureTensorExtractor::extract_into(const layout::MaskImage& raster,
-                                          std::span<float> out) const {
-  HSDL_TRACE_SPAN("fte.extract");
+std::size_t FeatureTensorExtractor::start_extract(std::size_t width,
+                                               std::size_t height,
+                                               std::span<float> out) const {
   if (metrics::enabled()) {
     static metrics::Counter& tensors = metrics::counter("fte.tensors");
     static metrics::Counter& blocks = metrics::counter("fte.dct_blocks");
@@ -82,101 +192,30 @@ void FeatureTensorExtractor::extract_into(const layout::MaskImage& raster,
   }
   const std::size_t n = config_.blocks_per_side;
   const std::size_t k = config_.coeffs;
-  const std::size_t B = block_px(raster);
+  HSDL_CHECK_MSG(width == height,
+                 "feature tensor extraction expects a square raster, got "
+                     << width << "x" << height);
+  HSDL_CHECK_MSG(width % n == 0, "raster side " << width
+                                                << " is not divisible into "
+                                                << n << " blocks");
+  const std::size_t B = width / n;
   HSDL_CHECK_MSG(k <= B * B, "cannot keep " << k << " coefficients from a "
                                             << B << "x" << B << " block");
   HSDL_CHECK_MSG(out.size() == k * n * n,
                  "extract_into expects " << k * n * n << " floats, got "
                                          << out.size());
-
-  // The banded path handles every corner size the zig-zag prefix of a
-  // real config produces (kp <= 8 covers k <= 36); exotic test configs and
-  // reference mode take the original per-block path.
-  const std::size_t kp = cached_corner_for_prefix(B, k);
-  if (runtime::reference_mode() || kp > 8) {
-    extract_reference(raster, out);
-  } else {
-    extract_fast(raster, out);
-  }
+  return B;
 }
 
-void FeatureTensorExtractor::extract_reference(const layout::MaskImage& raster,
-                                               std::span<float> out) const {
-  const std::size_t n = config_.blocks_per_side;
-  const std::size_t k = config_.coeffs;
-  const std::size_t B = block_px(raster);
-  const DctPlan& plan = plan_for(B);
-  // Partial DCT: only the corner covering the first k zig-zag positions.
-  const std::size_t kp = cached_corner_for_prefix(B, k);
-
-  std::vector<float> block(B * B);
-  std::vector<float> corner(kp * kp);
-  std::vector<float> scan(k);
-  for (std::size_t by = 0; by < n; ++by) {
-    for (std::size_t bx = 0; bx < n; ++bx) {
-      // Gather the block (row-major copy out of the raster).
-      for (std::size_t y = 0; y < B; ++y) {
-        const float* src = raster.row(by * B + y) + bx * B;
-        float* dst = &block[y * B];
-        for (std::size_t x = 0; x < B; ++x) dst[x] = src[x];
-      }
-      plan.partial(block.data(), kp, corner.data());
-      zigzag_take(corner.data(), kp, k, scan.data());
-      const float scale =
-          config_.normalize ? 1.0f / static_cast<float>(B) : 1.0f;
-      for (std::size_t c = 0; c < k; ++c)
-        out[(c * n + by) * n + bx] = scan[c] * scale;
-    }
-  }
-}
-
-void FeatureTensorExtractor::extract_fast(const layout::MaskImage& raster,
+void FeatureTensorExtractor::extract_into(const layout::MaskImage& raster,
                                           std::span<float> out) const {
-  const std::size_t n = config_.blocks_per_side;
-  const std::size_t k = config_.coeffs;
-  const std::size_t B = block_px(raster);
-  const std::size_t width = raster.width();
-  const DctPlan& plan = plan_for(B);
-  const std::size_t kp = cached_corner_for_prefix(B, k);
-
-  // The zig-zag prefix, resolved once per extract instead of once per
-  // block (zigzag_take re-derives the walk — and allocates — per call).
-  // Its row extent also caps the pass-1 work: the first k positions of a
-  // kp x kp corner rarely reach row kp-1 (16 coefficients of a 6x6 corner
-  // top out at row 4), and rows the scan never reads need not be
-  // transformed at all.
-  thread_local std::vector<std::pair<std::size_t, std::size_t>> order;
-  thread_local std::size_t order_kp = 0;
-  if (order_kp != kp) {
-    order = zigzag_order(kp);
-    order_kp = kp;
+  HSDL_TRACE_SPAN("fte.extract");
+  const std::size_t B = start_extract(raster.width(), raster.height(), out);
+  if (runtime::reference_mode()) {
+    extract_reference(raster, B, out);
+    return;
   }
-  std::size_t mp = 0;
-  for (std::size_t c = 0; c < k; ++c)
-    mp = std::max(mp, order[c].first + 1);
-
-  // Thread-local scratch: extract_batch runs this on pool threads; each
-  // buffer is fully (re)written per call, and resize() is a no-op once
-  // warm, so batches run allocation-free.
-  thread_local std::vector<float> band, basis_t, corner;
-  band.resize(mp * width);
-  basis_t.resize(B * DctPlan::kTransposedStride);
-  corner.resize(kp * kp);
-  plan.transpose_corner_basis(kp, basis_t.data());
-
-  const float scale = config_.normalize ? 1.0f / static_cast<float>(B) : 1.0f;
-  for (std::size_t by = 0; by < n; ++by) {
-    // One column pass over the whole band of B raster rows replaces the
-    // per-block gather + column pass of the reference path.
-    plan.partial_band(raster.row(by * B), width, mp, band.data());
-    for (std::size_t bx = 0; bx < n; ++bx) {
-      plan.partial_corner_from_band(band.data(), width, bx * B, kp, mp,
-                                    basis_t.data(), corner.data());
-      for (std::size_t c = 0; c < k; ++c)
-        out[(c * n + by) * n + bx] =
-            corner[order[c].first * kp + order[c].second] * scale;
-    }
-  }
+  extract_slabs(Slabs::from_raster(raster, B), B, out);
 }
 
 void FeatureTensorExtractor::extract_into(const layout::Clip& clip,
@@ -185,34 +224,95 @@ void FeatureTensorExtractor::extract_into(const layout::Clip& clip,
     extract_into(layout::rasterize(clip, config_.nm_per_px), out);
     return;
   }
-  // Reuse one raster buffer per thread: rasterizing a serving window used
-  // to allocate (and fault in) a few hundred KB per clip, which dominated
-  // the profile alongside the DCT.
-  thread_local layout::MaskImage raster;
-  layout::rasterize_into(clip, config_.nm_per_px, raster);
-  extract_into(raster, out);
+  HSDL_TRACE_SPAN("fte.extract");
+  const layout::PixelGrid grid(clip.window, config_.nm_per_px);
+  const std::size_t B = start_extract(grid.width(), grid.height(), out);
+  extract_slabs(Slabs::from_clip(clip, grid, B), B, out);
+}
+
+void FeatureTensorExtractor::extract_slabs(const Slabs& slabs,
+                                           std::size_t block,
+                                           std::span<float> out) const {
+  const std::size_t n = config_.blocks_per_side;
+  const std::size_t k = config_.coeffs;
+  const std::size_t B = block;
+  const BlockPlan& plan = plan_for(B);
+  const std::size_t kp = plan.kp;
+  const double scale = config_.normalize ? 1.0 / static_cast<double>(B) : 1.0;
+
+  // One block row at a time: acc[bx * k + c] is coefficient c of block
+  // (by, bx); sy/sx are the basis integrals over a slab's rows and over a
+  // run's piece inside one block column.
+  std::vector<double> acc(n * k), sy(kp), sx(kp);
+  const auto integral = [&](std::size_t lo, std::size_t hi,
+                            std::vector<double>& s) {
+    for (std::size_t m = 0; m < kp; ++m)
+      s[m] = plan.prefix[m * (B + 1) + hi] - plan.prefix[m * (B + 1) + lo];
+  };
+  auto slab = slabs.slabs.begin();
+  for (std::size_t by = 0; by < n; ++by) {
+    std::ranges::fill(acc, 0.0);
+    for (; slab != slabs.slabs.end() && slab->y0 < (by + 1) * B; ++slab) {
+      integral(slab->y0 - by * B, slab->y1 - by * B, sy);
+      for (std::size_t r = slab->begin; r < slab->end; ++r) {
+        const Slabs::Run run = slabs.runs[r];
+        for (std::size_t x = run.x0; x < run.x1;) {
+          const std::size_t bx = x / B;
+          const std::size_t xe = std::min(run.x1, (bx + 1) * B);
+          integral(x - bx * B, xe - bx * B, sx);
+          double* a = &acc[bx * k];
+          for (std::size_t c = 0; c < k; ++c)
+            a[c] += sy[plan.order[c].first] * sx[plan.order[c].second];
+          x = xe;
+        }
+      }
+    }
+    for (std::size_t bx = 0; bx < n; ++bx)
+      for (std::size_t c = 0; c < k; ++c)
+        out[(c * n + by) * n + bx] =
+            static_cast<float>(acc[bx * k + c] * scale);
+  }
+}
+
+void FeatureTensorExtractor::extract_reference(const layout::MaskImage& raster,
+                                               std::size_t block,
+                                               std::span<float> out) const {
+  const std::size_t n = config_.blocks_per_side;
+  const std::size_t k = config_.coeffs;
+  const std::size_t B = block;
+  const BlockPlan& plan = plan_for(B);
+  // Partial DCT: only the corner covering the first k zig-zag positions.
+  const std::size_t kp = plan.kp;
+
+  std::vector<float> pixels(B * B);
+  std::vector<float> corner(kp * kp);
+  std::vector<float> scan(k);
+  const float scale = config_.normalize ? 1.0f / static_cast<float>(B) : 1.0f;
+  for (std::size_t by = 0; by < n; ++by) {
+    for (std::size_t bx = 0; bx < n; ++bx) {
+      // Gather the block (row-major copy out of the raster).
+      for (std::size_t y = 0; y < B; ++y) {
+        const float* src = raster.row(by * B + y) + bx * B;
+        std::copy(src, src + B, &pixels[y * B]);
+      }
+      plan.dct.partial(pixels.data(), kp, corner.data());
+      zigzag_take(corner.data(), kp, k, scan.data());
+      for (std::size_t c = 0; c < k; ++c)
+        out[(c * n + by) * n + bx] = scan[c] * scale;
+    }
+  }
 }
 
 FeatureTensor FeatureTensorExtractor::extract(
     const layout::MaskImage& raster) const {
-  const std::size_t n = config_.blocks_per_side;
-  const std::size_t k = config_.coeffs;
-  FeatureTensor out;
-  out.n = n;
-  out.k = k;
-  out.data.assign(k * n * n, 0.0f);
+  FeatureTensor out = zero_tensor(config_);
   extract_into(raster, out.data);
   return out;
 }
 
 FeatureTensor FeatureTensorExtractor::extract(const layout::Clip& clip) const {
-  const std::size_t n = config_.blocks_per_side;
-  const std::size_t k = config_.coeffs;
-  FeatureTensor out;
-  out.n = n;
-  out.k = k;
-  out.data.assign(k * n * n, 0.0f);
-  extract_into(clip, out.data);  // clip overload reuses the raster buffer
+  FeatureTensor out = zero_tensor(config_);
+  extract_into(clip, out.data);
   return out;
 }
 
@@ -235,26 +335,22 @@ layout::MaskImage FeatureTensorExtractor::reconstruct(
   HSDL_CHECK(tensor.data.size() == k * n * n);
   HSDL_CHECK(k <= B * B);
 
-  const DctPlan& plan = plan_for(B);
-  const std::size_t kp = cached_corner_for_prefix(B, k);
+  const DctPlan& plan = plan_for(B).dct;
+  const std::size_t kp = corner_for_prefix(B, k);
 
   layout::MaskImage img(n * B, n * B, config_.nm_per_px);
   std::vector<float> scan(k);
   std::vector<float> corner(kp * kp);
   std::vector<float> block(B * B);
+  const float unscale = config_.normalize ? static_cast<float>(B) : 1.0f;
   for (std::size_t by = 0; by < n; ++by) {
     for (std::size_t bx = 0; bx < n; ++bx) {
-      const float unscale =
-          config_.normalize ? static_cast<float>(B) : 1.0f;
       for (std::size_t c = 0; c < k; ++c)
         scan[c] = tensor.at(c, by, bx) * unscale;
       zigzag_put(scan.data(), k, kp, corner.data());
       plan.inverse_partial(corner.data(), kp, block.data());
-      for (std::size_t y = 0; y < B; ++y) {
-        float* dst = img.row(by * B + y) + bx * B;
-        const float* src = &block[y * B];
-        for (std::size_t x = 0; x < B; ++x) dst[x] = src[x];
-      }
+      for (std::size_t y = 0; y < B; ++y)
+        std::copy_n(&block[y * B], B, img.row(by * B + y) + bx * B);
     }
   }
   return img;

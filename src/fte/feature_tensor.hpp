@@ -7,6 +7,16 @@
 // channel c holds the c-th zig-zag coefficient of every block). The
 // transform is approximately invertible: reconstruct() inverts exactly the
 // retained coefficients and zeroes the discarded high frequencies.
+//
+// The mask is binary and rectilinear, and the 2-D DCT is separable, so no
+// pixel transform is needed: a covered pixel rectangle [x0,x1) x [y0,y1)
+// of a block adds Sy[m] * Sx[n] to coefficient (m, n), where S is a
+// difference of prefix sums of the basis rows. Both extract_into overloads
+// reduce their input to the same canonical row-run slabs and add those up
+// in one fixed order, so a clip and its raster give bitwise-equal tensors.
+// Reference mode (common/refmode.hpp) runs the per-block DctPlan::partial
+// pipeline instead; it agrees with the slab sums to within float rounding
+// (about 1e-6) and is the tolerance oracle in the tests.
 #pragma once
 
 #include <atomic>
@@ -14,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "fte/dct.hpp"
@@ -55,25 +66,25 @@ class FeatureTensorExtractor {
 
   const FeatureTensorConfig& config() const { return config_; }
 
-  /// Pixels per block side for a given raster width.
-  std::size_t block_px(const layout::MaskImage& raster) const;
-
   /// Extract from a pre-rasterized clip. The raster must be square with a
-  /// side divisible by n.
+  /// side divisible by n, and binary: any pixel other than 0 or 1 throws
+  /// CheckError.
   FeatureTensor extract(const layout::MaskImage& raster) const;
 
-  /// Rasterizes at config().nm_per_px and extracts.
+  /// Extracts from the clip's shapes at config().nm_per_px.
   FeatureTensor extract(const layout::Clip& clip) const;
 
   /// Extracts directly into caller-owned storage of exactly k*n*n floats,
-  /// laid out channel-major like FeatureTensor::data. Allocation-free
-  /// except for small per-call DCT scratch; the extract() overloads
-  /// delegate here, so results are bitwise identical. Batch pipelines
-  /// (the inference engine) point `out` at a slice of their input slab.
+  /// laid out channel-major like FeatureTensor::data. The extract()
+  /// overloads delegate here, so results are bitwise identical. Batch
+  /// pipelines (the inference engine) point `out` at a slice of their
+  /// input slab.
   void extract_into(const layout::MaskImage& raster,
                     std::span<float> out) const;
 
-  /// Rasterizes at config().nm_per_px and extracts into `out`.
+  /// Extracts straight from the clip's shapes, with the pixel coverage of
+  /// layout::PixelGrid at config().nm_per_px; bitwise equal to extracting
+  /// from rasterize(clip, config().nm_per_px).
   void extract_into(const layout::Clip& clip, std::span<float> out) const;
 
   /// Batched extraction, parallel over clips on the shared thread pool.
@@ -89,33 +100,48 @@ class FeatureTensorExtractor {
                                 std::size_t block_px) const;
 
  private:
-  const DctPlan& plan_for(std::size_t block) const;
+  /// Everything extraction needs for one block size B, built once.
+  struct BlockPlan {
+    BlockPlan(std::size_t block, std::size_t coeffs);
+    DctPlan dct;
+    /// Corner side holding the first min(k, B^2) zig-zag positions.
+    std::size_t kp;
+    /// Those positions as (row, col) of the kp x kp corner.
+    std::vector<std::pair<std::size_t, std::size_t>> order;
+    /// prefix[m * (B + 1) + x] = sum of dct.basis()[m * B + t] over t < x,
+    /// in double, for m < kp.
+    std::vector<double> prefix;
+  };
+  /// Canonical row-run slabs of a binary mask (defined in the .cpp).
+  struct Slabs;
 
-  /// Original per-block path: gathers each block and runs DctPlan::partial
-  /// on the copy. Kept as the bitwise oracle for the banded fast path;
-  /// reference mode (common/refmode.hpp) forces it, and it also serves
-  /// corner cases the band cannot (kp > 8).
-  void extract_reference(const layout::MaskImage& raster,
+  const BlockPlan& plan_for(std::size_t block) const;
+
+  /// Counts an extraction of a width x height mask into `out` in the
+  /// metrics, checks its shape and returns the block side B.
+  std::size_t start_extract(std::size_t width, std::size_t height,
                          std::span<float> out) const;
 
-  /// Banded fast path: one column-pass per raster band, thread-local
-  /// scratch, vectorized inner loops. Bitwise identical to the reference
-  /// (see DctPlan::partial_band).
-  void extract_fast(const layout::MaskImage& raster,
-                    std::span<float> out) const;
+  /// Adds every slab into its blocks' coefficients and writes the scaled
+  /// zig-zag prefixes to `out`: the one production extraction routine.
+  void extract_slabs(const Slabs& slabs, std::size_t block,
+                     std::span<float> out) const;
+
+  /// Reference-mode oracle: gathers each block and runs DctPlan::partial
+  /// and zigzag_take on the copy.
+  void extract_reference(const layout::MaskImage& raster, std::size_t block,
+                         std::span<float> out) const;
 
   FeatureTensorConfig config_;
   // Plans are cached per block size (tests exercise several resolutions).
   // unique_ptr keeps plan addresses stable across cache growth and the
-  // mutex makes the lazy insert safe under extract_batch's parallelism;
-  // the plans themselves are immutable and shared freely once built.
-  // The atomic caches the most recently used plan so the steady state
-  // (one block size, many threads) never touches the mutex — the old
-  // lock-per-extract was the main scaling bottleneck of extract_batch.
+  // mutex guards the lazy insert; built plans are immutable and shared.
+  // The atomic holds the last plan used, so the steady state (one block
+  // size, many threads) never takes the mutex.
   mutable std::mutex plans_mu_;
-  mutable std::vector<std::pair<std::size_t, std::unique_ptr<DctPlan>>>
+  mutable std::vector<std::pair<std::size_t, std::unique_ptr<BlockPlan>>>
       plans_;
-  mutable std::atomic<const DctPlan*> plan_cache_{nullptr};
+  mutable std::atomic<const BlockPlan*> plan_cache_{nullptr};
 };
 
 }  // namespace hsdl::fte

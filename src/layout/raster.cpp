@@ -25,21 +25,6 @@ void MaskImage::reset(std::size_t width, std::size_t height, double nm_per_px,
   height_ = height;
   nm_per_px_ = nm_per_px;
   data_.assign(width * height, fill);  // assign() reuses capacity
-  span_log_.clear();
-  span_log_valid_ = false;
-}
-
-bool MaskImage::try_span_clear(std::size_t width, std::size_t height,
-                               double nm_per_px) {
-  if (!span_log_valid_ || width != width_ || height != height_ ||
-      nm_per_px != nm_per_px_)
-    return false;
-  for (const auto& [y, x0, x1] : span_log_) {
-    float* rowp = row(y);
-    std::fill(rowp + x0, rowp + x1, 0.0f);
-  }
-  span_log_.clear();
-  return true;
 }
 
 double MaskImage::mean() const {
@@ -64,47 +49,49 @@ MaskImage rasterize(const Clip& clip, double nm_per_px) {
   return img;
 }
 
-void rasterize_into(const Clip& clip, double nm_per_px, MaskImage& img) {
-  HSDL_CHECK(!clip.window.empty());
-  const double wpx = static_cast<double>(clip.window.width()) / nm_per_px;
-  const double hpx = static_cast<double>(clip.window.height()) / nm_per_px;
+PixelGrid::PixelGrid(const geom::Rect& window, double nm_per_px)
+    : window_(window), nm_per_px_(nm_per_px) {
+  HSDL_CHECK(!window.empty());
+  HSDL_CHECK(nm_per_px > 0.0);
+  const double wpx = static_cast<double>(window.width()) / nm_per_px;
+  const double hpx = static_cast<double>(window.height()) / nm_per_px;
   HSDL_CHECK_MSG(std::abs(wpx - std::round(wpx)) < 1e-9 &&
                      std::abs(hpx - std::round(hpx)) < 1e-9,
-                 "window " << clip.window.width() << "x"
-                           << clip.window.height()
+                 "window " << window.width() << "x" << window.height()
                            << " nm is not an integer number of pixels at "
                            << nm_per_px << " nm/px");
-  const auto width = static_cast<std::size_t>(std::llround(wpx));
-  const auto height = static_cast<std::size_t>(std::llround(hpx));
-  if (!img.try_span_clear(width, height, nm_per_px))
-    img.reset(width, height, nm_per_px);
-  img.mark_span_logged();
+  width_ = static_cast<std::size_t>(std::llround(wpx));
+  height_ = static_cast<std::size_t>(std::llround(hpx));
+}
 
-  // Fill pixel spans per shape. Pixel centre of column x sits at
-  // window.lo.x + (x + 0.5) * pitch; it is covered by [r.lo.x, r.hi.x) iff
+PixelRect PixelGrid::covered(const geom::Rect& shape) const {
+  const geom::Rect r = shape.intersect(window_);
+  if (r.empty()) return {};
+  // Pixel centre of column x sits at window.lo.x + (x + 0.5) * pitch; it is
+  // covered by [r.lo.x, r.hi.x) iff
   // ceil((r.lo.x - 0.5*p - lo) / p) <= x < ceil((r.hi.x - 0.5*p - lo) / p).
-  auto first_covered = [&](geom::Coord edge, geom::Coord lo) {
-    double v = (static_cast<double>(edge - lo)) / nm_per_px - 0.5;
-    auto c = static_cast<long long>(std::ceil(v - 1e-12));
-    return c;
+  auto first_covered = [&](geom::Coord edge, geom::Coord lo,
+                           std::size_t extent) {
+    const double v = static_cast<double>(edge - lo) / nm_per_px_ - 0.5;
+    const auto c = static_cast<long long>(std::ceil(v - 1e-12));
+    return static_cast<std::size_t>(
+        std::clamp(c, 0LL, static_cast<long long>(extent)));
   };
+  PixelRect p{first_covered(r.lo.x, window_.lo.x, width_),
+              first_covered(r.lo.y, window_.lo.y, height_),
+              first_covered(r.hi.x, window_.lo.x, width_),
+              first_covered(r.hi.y, window_.lo.y, height_)};
+  if (p.empty()) return {};
+  return p;
+}
+
+void rasterize_into(const Clip& clip, double nm_per_px, MaskImage& img) {
+  const PixelGrid grid(clip.window, nm_per_px);
+  img.reset(grid.width(), grid.height(), nm_per_px);
   for (const geom::Rect& shape : clip.shapes) {
-    const geom::Rect r = shape.intersect(clip.window);
-    if (r.empty()) continue;
-    long long x0 = std::max(0LL, first_covered(r.lo.x, clip.window.lo.x));
-    long long x1 = std::min(static_cast<long long>(width),
-                            first_covered(r.hi.x, clip.window.lo.x));
-    long long y0 = std::max(0LL, first_covered(r.lo.y, clip.window.lo.y));
-    long long y1 = std::min(static_cast<long long>(height),
-                            first_covered(r.hi.y, clip.window.lo.y));
-    if (x0 >= x1) continue;
-    for (long long y = y0; y < y1; ++y) {
-      float* rowp = img.row(static_cast<std::size_t>(y));
-      std::fill(rowp + x0, rowp + x1, 1.0f);
-      img.record_span(static_cast<std::size_t>(y),
-                      static_cast<std::size_t>(x0),
-                      static_cast<std::size_t>(x1));
-    }
+    const PixelRect p = grid.covered(shape);
+    for (std::size_t y = p.y0; y < p.y1; ++y)
+      std::fill(img.row(y) + p.x0, img.row(y) + p.x1, 1.0f);
   }
 }
 

@@ -5,7 +5,6 @@
 // float grid with a physical pixel pitch in nanometres.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -21,9 +20,7 @@ class MaskImage {
             float fill = 0.0f);
 
   /// Re-shapes this image in place and refills it with `fill`, keeping
-  /// the existing allocation when it is large enough. Serving paths keep
-  /// a thread-local MaskImage and reset() it per clip so rasterization
-  /// stops paying an allocation + page-fault per window.
+  /// the existing allocation when it is large enough.
   void reset(std::size_t width, std::size_t height, double nm_per_px,
              float fill = 0.0f);
 
@@ -46,42 +43,50 @@ class MaskImage {
   /// Max |a - b| over all pixels; images must have identical shape.
   static double max_abs_diff(const MaskImage& a, const MaskImage& b);
 
-  // --- Span-logged fast clear (used by rasterize_into) -------------------
-  //
-  // A serving thread re-rasterizes into the same image thousands of times
-  // per second, and the full refill in reset() costs more than the shape
-  // fills themselves. rasterize_into instead logs every span it sets to 1;
-  // the next call then only has to zero those spans, because every other
-  // pixel is still 0 from the previous round. The log is only trusted
-  // while no other writer touched the buffer: reset() and the constructors
-  // invalidate it, and any code mutating a raster through row()/data()/at()
-  // must call reset() before handing it back to rasterize_into.
-
-  /// Zeroes just the logged spans when the shape is unchanged and the log
-  /// is valid; returns false (caller must do a full reset) otherwise.
-  bool try_span_clear(std::size_t width, std::size_t height,
-                      double nm_per_px);
-  /// Marks the buffer as fully span-logged from now on.
-  void mark_span_logged() { span_log_valid_ = true; }
-  void record_span(std::size_t y, std::size_t x0, std::size_t x1) {
-    span_log_.push_back({y, x0, x1});
-  }
-
  private:
   std::size_t width_ = 0;
   std::size_t height_ = 0;
   double nm_per_px_ = 1.0;
   std::vector<float> data_;
-  std::vector<std::array<std::size_t, 3>> span_log_;
-  bool span_log_valid_ = false;
 };
 
-/// Rasterizes a clip to a binary mask (1 inside shapes, 0 outside).
+/// Pixel index rectangle [x0, x1) x [y0, y1); empty when x0 >= x1 or
+/// y0 >= y1.
+struct PixelRect {
+  std::size_t x0 = 0, y0 = 0, x1 = 0, y1 = 0;
+  bool empty() const { return x0 >= x1 || y0 >= y1; }
+};
+
+/// The pixel grid a clip rasterizes onto at a given pitch: the one place
+/// that decides which pixels a shape covers, shared by rasterize_into and
+/// by feature extraction straight from geometry (fte), so both see the
+/// same pixels.
 ///
 /// Pixel (x, y) covers the physical square
-/// [window.lo + x*pitch, +pitch) x [window.lo + y*pitch, +pitch); a pixel is
-/// set when its *centre* falls inside a shape, which keeps abutting shapes
-/// seamless. The window extent must be an integer multiple of the pitch.
+/// [window.lo + x*pitch, +pitch) x [window.lo + y*pitch, +pitch); a shape
+/// covers a pixel when the pixel's *centre* falls inside it, which keeps
+/// abutting shapes seamless.
+class PixelGrid {
+ public:
+  /// Throws CheckError unless the window is non-empty and an integer
+  /// number of pixels on each side.
+  PixelGrid(const geom::Rect& window, double nm_per_px);
+
+  std::size_t width() const { return width_; }
+  std::size_t height() const { return height_; }
+
+  /// Pixels `shape` covers, clipped to the window.
+  PixelRect covered(const geom::Rect& shape) const;
+
+ private:
+  geom::Rect window_;
+  double nm_per_px_;
+  std::size_t width_ = 0;
+  std::size_t height_ = 0;
+};
+
+/// Rasterizes a clip to a binary mask (1 inside shapes, 0 outside) on its
+/// PixelGrid. The window extent must be an integer multiple of the pitch.
 MaskImage rasterize(const Clip& clip, double nm_per_px);
 
 /// Allocation-free variant: rasterizes into `img`, reset() to the right

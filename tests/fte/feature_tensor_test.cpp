@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "common/check.hpp"
-#include "common/cpuinfo.hpp"
 #include "common/refmode.hpp"
 #include "layout/generator.hpp"
 #include "layout/raster.hpp"
@@ -177,50 +180,100 @@ TEST(FeatureTensorTest, RejectsBadInputs) {
   MaskImage indivisible(100, 100, 1.0);  // 100 % 12 != 0
   EXPECT_THROW(ex.extract(indivisible), hsdl::CheckError);
 
+  // The clip overload rejects the same shapes, and windows that are not a
+  // whole number of pixels.
+  Clip clip;
+  clip.window = Rect::from_xywh(0, 0, 1200, 600);
+  EXPECT_THROW(ex.extract(clip), hsdl::CheckError);
+  clip.window = Rect::from_xywh(0, 0, 1000, 1000);  // 500 px % 12 != 0
+  EXPECT_THROW(ex.extract(clip), hsdl::CheckError);
+  clip.window = Rect::from_xywh(0, 0, 1201, 1201);  // 600.5 px
+  EXPECT_THROW(ex.extract(clip), hsdl::CheckError);
+
   FeatureTensorConfig cfg;
   cfg.coeffs = 0;
   EXPECT_THROW(FeatureTensorExtractor{cfg}, hsdl::CheckError);
 }
 
-TEST(FeatureTensorTest, BandedFastPathMatchesReferenceBitwise) {
-  // The banded extraction path must reproduce the per-block reference
-  // path bit for bit (see DctPlan::partial_band).
-  Clip clip = demo_clip();
-  for (double nm_per_px : {2.0, 4.0}) {  // 50 px and 25 px blocks
-    FeatureTensorConfig cfg;
-    cfg.nm_per_px = nm_per_px;
-    FeatureTensorExtractor ex(cfg);
-    MaskImage raster = layout::rasterize(clip, cfg.nm_per_px);
-    FeatureTensor fast = ex.extract(raster);
-    runtime::ReferenceModeGuard guard(true);
-    FeatureTensor ref = ex.extract(raster);
-    ASSERT_EQ(fast.data.size(), ref.data.size());
-    for (std::size_t i = 0; i < ref.data.size(); ++i)
-      ASSERT_EQ(fast.data[i], ref.data[i])
-          << "nm_per_px=" << nm_per_px << " index " << i;
-  }
+void expect_bitwise_equal(const FeatureTensor& a, const FeatureTensor& b,
+                          const std::string& what) {
+  ASSERT_EQ(a.data.size(), b.data.size()) << what;
+  for (std::size_t i = 0; i < a.data.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a.data[i]),
+              std::bit_cast<std::uint32_t>(b.data[i]))
+        << what << " index " << i << ": " << a.data[i] << " vs " << b.data[i];
 }
 
 TEST(FeatureTensorTest, ClipOverloadMatchesReferencePipeline) {
-  // The serving path (thread-local raster reuse + banded DCT) must equal
-  // the allocating reference pipeline exactly.
-  Clip clip = demo_clip();
-  FeatureTensorExtractor ex;
-  FeatureTensor fast = ex.extract(clip);
-  runtime::ReferenceModeGuard guard(true);
-  FeatureTensor ref = ex.extract(clip);
-  EXPECT_EQ(fast.data, ref.data);
+  // Extraction straight from the shapes equals extraction from the raster
+  // of the same clip, bit for bit: the scan ledger and every cached or
+  // rescored window rely on it. The hand-made clip sits off the origin and
+  // has overlapping, nested, touching, block-straddling and partly outside
+  // shapes.
+  Clip edge;
+  edge.window = Rect::from_xywh(3000, -1200, 1200, 1200);
+  edge.shapes = {Rect::from_xywh(3000, -1200, 240, 130),   // corner
+                 Rect::from_xywh(3100, -1150, 300, 300),   // overlaps it
+                 Rect::from_xywh(3400, -1150, 50, 300),    // touches it
+                 Rect::from_xywh(3401, -700, 97, 3),       // sub-block sliver
+                 Rect::from_xywh(2900, -300, 400, 100),    // partly outside
+                 Rect::from_xywh(4100, -1300, 500, 2000),  // partly outside
+                 Rect::from_xywh(3550, -650, 1, 400),      // no pixel centre
+                 Rect::from_xywh(3600, -500, 400, 250),    // holds the next
+                 Rect::from_xywh(3700, -550, 100, 150),    // inside it in x
+                 Rect::from_xywh(5000, 5000, 10, 10)};     // fully outside
+  for (const Clip& clip : {demo_clip(), edge}) {
+    for (double nm_per_px : {2.0, 4.0}) {
+      FeatureTensorConfig cfg;
+      cfg.nm_per_px = nm_per_px;
+      FeatureTensorExtractor ex(cfg);
+      expect_bitwise_equal(ex.extract(clip),
+                           ex.extract(layout::rasterize(clip, nm_per_px)),
+                           "nm_per_px=" + std::to_string(nm_per_px));
+    }
+  }
 }
 
-TEST(FeatureTensorTest, ScalarBandMatchesDispatchedBand) {
-  Clip clip = demo_clip();
+TEST(FeatureTensorTest, EveryArchetypeMatchesRasterBitwiseAndReference) {
+  // The extraction gate: on every generator archetype, at both raster
+  // pitches and both serving coefficient counts, the clip overload equals
+  // the raster overload bitwise and each coefficient stays within 1e-5 of
+  // reference mode's per-block DCT.
+  for (double nm_per_px : {2.0, 4.0}) {
+    for (std::size_t k : {16u, 32u}) {
+      FeatureTensorConfig cfg;
+      cfg.nm_per_px = nm_per_px;
+      cfg.coeffs = k;
+      FeatureTensorExtractor ex(cfg);
+      for (int a = 0; a < layout::kNumArchetypes; ++a) {
+        const auto archetype = static_cast<layout::Archetype>(a);
+        layout::ClipGenerator gen(layout::GeneratorConfig{},
+                                  1000 + static_cast<std::uint64_t>(a));
+        for (int i = 0; i < 3; ++i) {
+          const Clip clip = gen.generate(archetype);
+          const std::string what = std::string(layout::to_string(archetype)) +
+                                   " #" + std::to_string(i) + " nm_per_px=" +
+                                   std::to_string(nm_per_px) +
+                                   " k=" + std::to_string(k);
+          const FeatureTensor fast = ex.extract(clip);
+          expect_bitwise_equal(
+              fast, ex.extract(layout::rasterize(clip, nm_per_px)), what);
+          runtime::ReferenceModeGuard guard(true);
+          const FeatureTensor ref = ex.extract(clip);
+          for (std::size_t j = 0; j < ref.data.size(); ++j)
+            ASSERT_NEAR(fast.data[j], ref.data[j], 1e-5)
+                << what << " index " << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(FeatureTensorTest, RejectsNonBinaryRaster) {
   FeatureTensorExtractor ex;
-  FeatureTensor fast = ex.extract(clip);
-  const bool prev = cpu::force_scalar();
-  cpu::set_force_scalar(true);
-  FeatureTensor scalar = ex.extract(clip);
-  cpu::set_force_scalar(prev);
-  EXPECT_EQ(fast.data, scalar.data);
+  MaskImage raster = layout::rasterize(demo_clip(), 2.0);
+  raster.at(317, 211) = 0.5f;
+  EXPECT_THROW(ex.extract(raster), hsdl::CheckError);
 }
 
 TEST(FeatureTensorTest, RejectsTooManyCoeffsForBlock) {

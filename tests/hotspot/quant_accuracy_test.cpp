@@ -2,11 +2,17 @@
 // than 0.5% hotspot accuracy against the fp32 model it was built from).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <sstream>
 #include <vector>
 
+#include "common/refmode.hpp"
 #include "hotspot/benchmark_factory.hpp"
 #include "hotspot/detector.hpp"
+#include "hotspot/metrics.hpp"
+#include "nn/workspace.hpp"
 
 namespace hsdl::hotspot {
 namespace {
@@ -101,6 +107,54 @@ TEST(QuantAccuracyGateTest, WeightChangesDropTheQuantizedModel) {
       bench.train.data(), 2));
   EXPECT_FALSE(det.use_quantized());
   EXPECT_EQ(det.quantized_net(), nullptr);
+}
+
+TEST(FeatureDecisionGateTest, ReferenceFeaturesFlipNoDecision) {
+  // Production features (row-run slab sums) and the reference-mode oracle
+  // (rasterize + per-block DCT) differ by float rounding only. Scored by
+  // the same production fp32 network, no corpus clip may change its
+  // flagged decision and no probability may move by more than 1e-5.
+  const CnnDetector& det = trained_detector();
+  const auto& bench = tiny_benchmark();
+  std::vector<layout::Clip> clips;
+  for (const auto& lc : bench.train) clips.push_back(lc.clip);
+  for (const auto& lc : bench.test) clips.push_back(lc.clip);
+  ASSERT_GE(clips.size(), 200u);
+
+  const fte::FeatureTensorExtractor& fx = det.extractor();
+  std::vector<std::size_t> shape = det.model().input_shape();
+  shape.insert(shape.begin(), clips.size());
+  nn::Tensor prod(shape);
+  nn::Tensor ref(shape);
+  const std::size_t per = prod.numel() / clips.size();
+  for (std::size_t i = 0; i < clips.size(); ++i)
+    fx.extract_into(clips[i], std::span<float>(prod.data() + i * per, per));
+  {
+    runtime::ReferenceModeGuard guard(true);
+    for (std::size_t i = 0; i < clips.size(); ++i)
+      fx.extract_into(clips[i], std::span<float>(ref.data() + i * per, per));
+  }
+
+  nn::WorkspaceArena ws;
+  const nn::Tensor p_prod = det.score_batch(prod, ws, /*quantized=*/false);
+  const nn::Tensor p_ref = det.score_batch(ref, ws, /*quantized=*/false);
+  std::size_t flips = 0, flagged = 0;
+  double max_dp = 0.0;
+  for (std::size_t i = 0; i < clips.size(); ++i) {
+    const double a = p_prod.at(i, kHotspotIndex);
+    const double b = p_ref.at(i, kHotspotIndex);
+    max_dp = std::max(max_dp, std::abs(a - b));
+    const bool fa = is_flagged(a, det.decision_threshold());
+    flagged += fa ? 1 : 0;
+    flips += fa != is_flagged(b, det.decision_threshold()) ? 1 : 0;
+  }
+  std::ostringstream dp;
+  dp << std::scientific << max_dp;
+  RecordProperty("clips", static_cast<int>(clips.size()));
+  RecordProperty("flagged", static_cast<int>(flagged));
+  RecordProperty("max_abs_dp", dp.str());
+  EXPECT_EQ(flips, 0u) << flagged << " of " << clips.size() << " flagged";
+  EXPECT_LE(max_dp, 1e-5);
 }
 
 }  // namespace

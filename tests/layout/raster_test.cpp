@@ -130,5 +130,27 @@ TEST(RasterizeTest, WindowOffsetIrrelevant) {
   EXPECT_DOUBLE_EQ(MaskImage::max_abs_diff(ia, ib), 0.0);
 }
 
+TEST(RasterizeTest, IntoReusedImageMatchesFresh) {
+  // rasterize_into must not let a reused image's old pixels leak through,
+  // whatever wrote them and whatever shape the image had.
+  const Clip first = make_clip(100, {Rect::from_xywh(0, 0, 100, 60)});
+  Clip second = make_clip(100, {Rect::from_xywh(10, 50, 30, 40),
+                                Rect::from_xywh(60, 0, 20, 20)});
+  MaskImage img;
+  rasterize_into(first, 2.0, img);
+  img.at(45, 45) = 0.5f;  // a writer other than rasterize_into
+  rasterize_into(second, 2.0, img);
+  MaskImage fresh = rasterize(second, 2.0);
+  ASSERT_EQ(img.width(), fresh.width());
+  EXPECT_EQ(MaskImage::max_abs_diff(img, fresh), 0.0);
+
+  second.window = Rect::from_xywh(0, 0, 60, 60);  // the image changes shape
+  rasterize_into(second, 2.0, img);
+  fresh = rasterize(second, 2.0);
+  ASSERT_EQ(img.width(), 30u);
+  ASSERT_EQ(img.height(), 30u);
+  EXPECT_EQ(MaskImage::max_abs_diff(img, fresh), 0.0);
+}
+
 }  // namespace
 }  // namespace hsdl::layout
