@@ -9,12 +9,12 @@
 // clips/sec plus the engine's batching and arena counters. Results go to
 // stdout and BENCH_serving.json. The pool gets min(8, host_cores)
 // threads — oversubscribing a small CI host used to time-slice the
-// batcher/forward/caller threads against each other and report the
+// engine's and the caller's threads against each other and report the
 // engine *slower* than per-clip — and the JSON records the pool size the
 // run actually used (pool_threads), not a configured constant. On a
 // one-core host the engine collapses to its inline synchronous path, so
 // the gate at the bottom (engine >= 0.95x per-clip, clip stream and
-// scan) holds everywhere: overlap wins on real cores, and inline mode
+// scan) holds everywhere: batching wins on real cores, and inline mode
 // keeps single-core within queue-free reach of serial.
 // HSDL_BENCH_SMOKE=1 shrinks the workload for CI.
 #include <algorithm>
@@ -148,9 +148,9 @@ int main() {
   const double serial_cps = static_cast<double>(n_clips) / serial_s;
   std::printf("  per-clip:  %6.1f clips/s (%.3f s)\n", serial_cps, serial_s);
 
-  // -- (b) engine at batch 64: parallel extraction overlapped with the
-  //        batched forward pass, arena-pooled activations (inline
-  //        synchronous path when the pool is down to one worker).
+  // -- (b) engine at batch 64: parallel extraction, then the batched
+  //        forward pass, arena-pooled activations (inline synchronous
+  //        path when the pool is down to one worker).
   hotspot::EngineConfig engine_cfg;
   engine_cfg.max_batch = 64;
   hotspot::InferenceEngine engine(detector, engine_cfg);

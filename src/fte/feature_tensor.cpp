@@ -180,16 +180,8 @@ const FeatureTensorExtractor::BlockPlan& FeatureTensorExtractor::plan_for(
   return *fresh;
 }
 
-std::size_t FeatureTensorExtractor::start_extract(std::size_t width,
-                                               std::size_t height,
-                                               std::span<float> out) const {
-  if (metrics::enabled()) {
-    static metrics::Counter& tensors = metrics::counter("fte.tensors");
-    static metrics::Counter& blocks = metrics::counter("fte.dct_blocks");
-    tensors.increment();
-    blocks.add(static_cast<std::uint64_t>(config_.blocks_per_side) *
-               config_.blocks_per_side);
-  }
+std::size_t FeatureTensorExtractor::block_side(std::size_t width,
+                                               std::size_t height) const {
   const std::size_t n = config_.blocks_per_side;
   const std::size_t k = config_.coeffs;
   HSDL_CHECK_MSG(width == height,
@@ -201,16 +193,35 @@ std::size_t FeatureTensorExtractor::start_extract(std::size_t width,
   const std::size_t B = width / n;
   HSDL_CHECK_MSG(k <= B * B, "cannot keep " << k << " coefficients from a "
                                             << B << "x" << B << " block");
-  HSDL_CHECK_MSG(out.size() == k * n * n,
-                 "extract_into expects " << k * n * n << " floats, got "
-                                         << out.size());
   return B;
+}
+
+std::size_t FeatureTensorExtractor::check_window(
+    const geom::Rect& window) const {
+  const layout::PixelGrid grid(window, config_.nm_per_px);
+  return block_side(grid.width(), grid.height());
+}
+
+void FeatureTensorExtractor::start_extract(std::span<float> out) const {
+  if (metrics::enabled()) {
+    static metrics::Counter& tensors = metrics::counter("fte.tensors");
+    static metrics::Counter& blocks = metrics::counter("fte.dct_blocks");
+    tensors.increment();
+    blocks.add(static_cast<std::uint64_t>(config_.blocks_per_side) *
+               config_.blocks_per_side);
+  }
+  const std::size_t kn2 = config_.coeffs * config_.blocks_per_side *
+                          config_.blocks_per_side;
+  HSDL_CHECK_MSG(out.size() == kn2, "extract_into expects "
+                                        << kn2 << " floats, got "
+                                        << out.size());
 }
 
 void FeatureTensorExtractor::extract_into(const layout::MaskImage& raster,
                                           std::span<float> out) const {
   HSDL_TRACE_SPAN("fte.extract");
-  const std::size_t B = start_extract(raster.width(), raster.height(), out);
+  const std::size_t B = block_side(raster.width(), raster.height());
+  start_extract(out);
   if (runtime::reference_mode()) {
     extract_reference(raster, B, out);
     return;
@@ -220,13 +231,14 @@ void FeatureTensorExtractor::extract_into(const layout::MaskImage& raster,
 
 void FeatureTensorExtractor::extract_into(const layout::Clip& clip,
                                           std::span<float> out) const {
+  const std::size_t B = check_window(clip.window);
   if (runtime::reference_mode()) {
     extract_into(layout::rasterize(clip, config_.nm_per_px), out);
     return;
   }
   HSDL_TRACE_SPAN("fte.extract");
+  start_extract(out);
   const layout::PixelGrid grid(clip.window, config_.nm_per_px);
-  const std::size_t B = start_extract(grid.width(), grid.height(), out);
   extract_slabs(Slabs::from_clip(clip, grid, B), B, out);
 }
 

@@ -84,8 +84,16 @@ class FeatureTensorExtractor {
 
   /// Extracts straight from the clip's shapes, with the pixel coverage of
   /// layout::PixelGrid at config().nm_per_px; bitwise equal to extracting
-  /// from rasterize(clip, config().nm_per_px).
+  /// from rasterize(clip, config().nm_per_px). Checks the window with
+  /// check_window first.
   void extract_into(const layout::Clip& clip, std::span<float> out) const;
+
+  /// Throws CheckError unless a clip with this window can be extracted:
+  /// its sides are whole pixels at config().nm_per_px, equal, and divide
+  /// into n blocks that hold k coefficients each. Returns the block
+  /// side B in pixels. Batch pipelines call it on the submitting thread,
+  /// before a bad window can reach a worker thread.
+  std::size_t check_window(const geom::Rect& window) const;
 
   /// Batched extraction, parallel over clips on the shared thread pool.
   /// Results are index-aligned with `clips` and bitwise identical to
@@ -117,10 +125,12 @@ class FeatureTensorExtractor {
 
   const BlockPlan& plan_for(std::size_t block) const;
 
-  /// Counts an extraction of a width x height mask into `out` in the
-  /// metrics, checks its shape and returns the block side B.
-  std::size_t start_extract(std::size_t width, std::size_t height,
-                         std::span<float> out) const;
+  /// Checks that a width x height mask divides into n square blocks of
+  /// at least k pixels and returns the block side B.
+  std::size_t block_side(std::size_t width, std::size_t height) const;
+
+  /// Counts an extraction into `out` in the metrics and checks its size.
+  void start_extract(std::span<float> out) const;
 
   /// Adds every slab into its blocks' coefficients and writes the scaled
   /// zig-zag prefixes to `out`: the one production extraction routine.

@@ -321,8 +321,8 @@ std::vector<double> CnnDetector::predict_probabilities(
 DetectorEval CnnDetector::evaluate(
     std::span<const layout::LabeledClip> test_clips) const {
   // Batched evaluation routed through a local inference engine: the same
-  // extract-overlapped-with-forward pipeline production scanning uses,
-  // with bitwise identical probabilities (DESIGN.md §11).
+  // micro-batched extract + forward path production scanning uses, with
+  // bitwise identical probabilities (DESIGN.md §11).
   DetectorEval eval;
   WallTimer timer;
   InferenceEngine engine(*this);

@@ -67,18 +67,13 @@ InferenceEngine::InferenceEngine(const CnnDetector& detector,
   const fte::FeatureTensorConfig& f = detector.extractor().config();
   feat_ = f.coeffs * f.blocks_per_side * f.blocks_per_side;
   in_shape_ = detector.model().input_shape();
-  for (Slab& s : slabs_) {
-    s.storage.reserve(config_.max_batch * feat_);
-    s.requests.reserve(config_.max_batch);
-  }
-  // Single-worker collapse: with one pool worker the batcher/forward
-  // threads would only time-slice the caller's core, so don't spawn
-  // them; score() runs the same slab/arena code synchronously instead.
+  batch_.reserve(config_.max_batch);
+  features_.reserve(config_.max_batch * feat_);
+  // Single-worker collapse: with one pool worker the batcher thread
+  // would only time-slice the caller's core, so don't spawn it; score()
+  // runs the same run_batch synchronously instead.
   inline_mode_ = num_threads() <= 1;
-  if (!inline_mode_) {
-    batcher_ = std::thread([this] { batcher_loop(); });
-    forward_ = std::thread([this] { forward_loop(); });
-  }
+  if (!inline_mode_) batcher_ = std::thread([this] { batcher_loop(); });
 }
 
 InferenceEngine::~InferenceEngine() { shutdown(); }
@@ -156,7 +151,7 @@ void InferenceEngine::wait_and_check(Completion& done, std::size_t submitted,
   // mid-submission) will not be completed by the drain; account for
   // them up front, then wait for the submitted ones — the drain
   // guarantees those complete — so `done` is never unwound while the
-  // forward path still points at it.
+  // batcher still points at it.
   std::size_t expired = 0;
   {
     std::unique_lock<std::mutex> lk(done.m);
@@ -182,7 +177,7 @@ void InferenceEngine::score_into(
   if (clips.empty()) return;
   // Chaos site: a simulated allocation failure on the submission path
   // (caller thread, so the bad_alloc unwinds to the caller — never into
-  // the pipeline threads, which must not throw).
+  // the batcher thread, which must not throw).
   if (fault::armed()) fault::alloc_guard("engine.score.alloc");
   if (deadline != kNoDeadline && std::chrono::steady_clock::now() >= deadline)
     throw DeadlineExceeded("deadline already expired at submission");
@@ -205,6 +200,11 @@ void InferenceEngine::score_clips(
     const layout::Clip* first, std::size_t clip_stride, std::size_t n,
     double* out, std::chrono::steady_clock::time_point deadline,
     std::uint64_t trace_id) {
+  // A window the extractor cannot take throws here, on the caller's
+  // thread: on the batcher it would have nowhere to go.
+  const fte::FeatureTensorExtractor& ex = detector_->extractor();
+  for (std::size_t i = 0; i < n; ++i)
+    ex.check_window(clip_at(first, clip_stride, i)->window);
   if (inline_mode_) {
     score_inline(first, clip_stride, n, out, trace_id);
     return;
@@ -230,29 +230,13 @@ void InferenceEngine::score_inline(const layout::Clip* first,
                                    std::size_t clip_stride, std::size_t n,
                                    double* out, std::uint64_t trace_id) {
   std::lock_guard<std::mutex> lk(inline_mu_);
-  Slab* slab = &slabs_[0];
   for (std::size_t done = 0; done < n;) {
     const std::size_t count = std::min(config_.max_batch, n - done);
-    slab->reason = FlushReason::kInline;
-    slab->requests.clear();
+    batch_.clear();
     for (std::size_t i = done; i < done + count; ++i)
-      slab->requests.push_back(Request{clip_at(first, clip_stride, i), out + i,
-                                       nullptr, {}, {}, trace_id, 0});
-    slab->storage.resize(count * feat_);
-    {
-      const std::uint64_t begin_ns =
-          trace::enabled() ? trace::timestamp_ns() : 0;
-      WallTimer timer;
-      const fte::FeatureTensorExtractor& ex = detector_->extractor();
-      for (std::size_t i = 0; i < count; ++i)
-        ex.extract_into(*slab->requests[i].clip,
-                        std::span<float>(slab->storage.data() + i * feat_,
-                                         feat_));
-      slab->extract_seconds = timer.seconds();
-      emit_batch_spans("engine.extract", begin_ns, trace::timestamp_ns(),
-                       slab->requests);
-    }
-    run_batch(slab);
+      batch_.push_back(Request{clip_at(first, clip_stride, i), out + i,
+                               nullptr, {}, {}, trace_id, 0});
+    run_batch(FlushReason::kInline);
     done += count;
   }
   std::lock_guard<std::mutex> qlk(queue_mu_);
@@ -268,36 +252,9 @@ void InferenceEngine::shutdown() {
   queue_cv_.notify_all();
   space_cv_.notify_all();
   if (batcher_.joinable()) batcher_.join();
-  if (forward_.joinable()) forward_.join();
-}
-
-InferenceEngine::Slab* InferenceEngine::acquire_free_slab() {
-  std::unique_lock<std::mutex> lk(pipe_mu_);
-  slab_cv_.wait(lk, [&] { return slabs_[0].free || slabs_[1].free; });
-  Slab* s = slabs_[0].free ? &slabs_[0] : &slabs_[1];
-  s->free = false;
-  return s;
-}
-
-void InferenceEngine::release_slab(Slab* slab) {
-  {
-    std::lock_guard<std::mutex> lk(pipe_mu_);
-    slab->free = true;
-  }
-  slab_cv_.notify_one();
-}
-
-void InferenceEngine::dispatch(Slab* slab) {
-  {
-    std::lock_guard<std::mutex> lk(pipe_mu_);
-    mailbox_.push_back(slab);
-  }
-  mail_cv_.notify_one();
 }
 
 void InferenceEngine::batcher_loop() {
-  std::vector<Request> pending;
-  pending.reserve(config_.max_batch);
   for (;;) {
     FlushReason reason = FlushReason::kFull;
     double batch_form_seconds = 0.0;
@@ -308,6 +265,7 @@ void InferenceEngine::batcher_loop() {
       // Batch formation clock: from "work is available" to "batch
       // dispatched" — the time the flush policy spent collecting.
       WallTimer form_timer;
+      batch_.clear();
       // Adaptive micro-batching: keep collecting until the batch is
       // full, or until the queue is empty and no submission is still
       // enqueuing. Then no clip can join this batch, so waiting any
@@ -317,7 +275,7 @@ void InferenceEngine::batcher_loop() {
         // deadline has already passed — it never occupies a forward
         // pass; its waiter gets DeadlineExceeded instead.
         const auto now = std::chrono::steady_clock::now();
-        while (!queue_.empty() && pending.size() < config_.max_batch) {
+        while (!queue_.empty() && batch_.size() < config_.max_batch) {
           const Request r = queue_.front();
           queue_.pop_front();
           if (metrics::enabled()) {
@@ -336,10 +294,10 @@ void InferenceEngine::batcher_loop() {
             expire_request(r);
             continue;
           }
-          pending.push_back(r);
+          batch_.push_back(r);
         }
         space_cv_.notify_all();
-        if (pending.size() >= config_.max_batch) {
+        if (batch_.size() >= config_.max_batch) {
           reason = FlushReason::kFull;
           break;
         }
@@ -357,81 +315,64 @@ void InferenceEngine::batcher_loop() {
       }
       batch_form_seconds = form_timer.seconds();
     }
-    if (pending.empty()) continue;  // every popped request had expired
+    if (batch_.empty()) continue;  // every popped request had expired
     if (metrics::enabled()) {
       static metrics::Histogram& form = metrics::histogram(
           "engine.batch_form_seconds", {1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0});
       form.record(batch_form_seconds);
     }
-    // Stage 1: extract feature tensors straight into the slab, parallel
-    // over clips (disjoint slices; the arena is never touched here).
-    Slab* slab = acquire_free_slab();
-    slab->reason = reason;
-    slab->requests.assign(pending.begin(), pending.end());
-    pending.clear();
-    const std::size_t n = slab->requests.size();
-    slab->storage.resize(n * feat_);  // within reserved capacity: no alloc
-    {
-      const std::uint64_t begin_ns =
-          trace::enabled() ? trace::timestamp_ns() : 0;
-      WallTimer timer;
-      const fte::FeatureTensorExtractor& ex = detector_->extractor();
-      std::vector<float>& storage = slab->storage;
-      const std::vector<Request>& reqs = slab->requests;
-      parallel_for(0, n, 1, [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i)
-          ex.extract_into(
-              *reqs[i].clip,
-              std::span<float>(storage.data() + i * feat_, feat_));
-      });
-      slab->extract_seconds = timer.seconds();
-      emit_batch_spans("engine.extract", begin_ns, trace::timestamp_ns(),
-                       slab->requests);
-    }
-    dispatch(slab);
+    run_batch(reason);
   }
-  {
-    std::lock_guard<std::mutex> lk(pipe_mu_);
-    forward_stop_ = true;
-  }
-  mail_cv_.notify_all();
 }
 
-void InferenceEngine::run_batch(Slab* slab) {
+void InferenceEngine::run_batch(FlushReason reason) {
   const std::vector<std::size_t>& in = in_shape_;
-  const std::size_t n = slab->requests.size();
+  const std::size_t n = batch_.size();
+  // Stage 1: extract feature tensors straight into the slab, parallel
+  // over clips (disjoint slices; the arena is never touched here).
+  features_.resize(n * feat_);  // within reserved capacity: no alloc
+  const std::uint64_t begin_ns = trace::enabled() ? trace::timestamp_ns() : 0;
   WallTimer timer;
+  const fte::FeatureTensorExtractor& ex = detector_->extractor();
+  parallel_for(0, n, 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i)
+      ex.extract_into(*batch_[i].clip,
+                      std::span<float>(features_.data() + i * feat_, feat_));
+  });
+  const double extract_seconds = timer.seconds();
+  emit_batch_spans("engine.extract", begin_ns, trace::timestamp_ns(), batch_);
+  timer.reset();
   nn::Tensor probs;
   const std::uint64_t fwd_begin_ns =
       trace::enabled() ? trace::timestamp_ns() : 0;
   {
-    // Stage 2: move the slab storage into a batch tensor (no copy),
-    // run the arena-backed forward pass, move the storage back so the
-    // slab keeps its capacity for the next batch.
+    // Stage 2: move the slab into a batch tensor (no copy), run the
+    // arena-backed forward pass, move the storage back so the slab
+    // keeps its capacity for the next batch.
     nn::Tensor x = nn::Tensor::from_data({n, in[0], in[1], in[2]},
-                                         std::move(slab->storage));
+                                         std::move(features_));
     // score_batch routes to the active serving model: int8 when this
     // engine is pinned quantized (the server's degraded engine) or the
     // detector has its quantized net enabled, fp32 otherwise.
     probs = detector_->score_batch(x, arena_, scores_quantized());
-    slab->storage = std::move(x.vec());
+    features_ = std::move(x.vec());
   }
   emit_batch_spans("engine.forward", fwd_begin_ns, trace::timestamp_ns(),
-                   slab->requests);
+                   batch_);
   const double forward_seconds = timer.seconds();
   for (std::size_t i = 0; i < n; ++i) {
     double p = static_cast<double>(probs.at(i, kHotspotIndex));
     // Chaos site: corrupt a score to NaN. Value corruption, not a
-    // throw — this runs on the forward thread, which must not unwind;
+    // throw — this runs on the batcher thread, which must not unwind;
     // the serving layer detects the non-finite score and answers
     // kInternal without killing the session.
     if (fault::armed()) p = fault::corrupt_score("engine.nan", p);
-    *slab->requests[i].out = p;
+    *batch_[i].out = p;
   }
   arena_.recycle(std::move(probs));
 
   batches_.fetch_add(1, std::memory_order_relaxed);
-  switch (slab->reason) {
+  switch (reason) {
     case FlushReason::kFull:
       flush_full_.fetch_add(1, std::memory_order_relaxed);
       break;
@@ -466,7 +407,7 @@ void InferenceEngine::run_batch(Slab* slab) {
     bsize.record(static_cast<double>(n));
     fill.record(static_cast<double>(n) /
                 static_cast<double>(config_.max_batch));
-    ext.record(slab->extract_seconds);
+    ext.record(extract_seconds);
     fwd.record(forward_seconds);
   }
   // Results are in place; wake the waiters (inline batches have none —
@@ -474,25 +415,10 @@ void InferenceEngine::run_batch(Slab* slab) {
   // completion's mutex: the waiter owns the Completion on its stack and
   // destroys it the moment wait() returns, so an unlocked notify could
   // touch a condition variable that no longer exists.
-  for (const Request& r : slab->requests) {
+  for (const Request& r : batch_) {
     if (r.done == nullptr) continue;
     std::lock_guard<std::mutex> lk(r.done->m);
     if (--r.done->remaining == 0) r.done->cv.notify_all();
-  }
-}
-
-void InferenceEngine::forward_loop() {
-  for (;;) {
-    Slab* slab = nullptr;
-    {
-      std::unique_lock<std::mutex> lk(pipe_mu_);
-      mail_cv_.wait(lk, [&] { return !mailbox_.empty() || forward_stop_; });
-      if (mailbox_.empty()) break;
-      slab = mailbox_.front();
-      mailbox_.pop_front();
-    }
-    run_batch(slab);
-    release_slab(slab);
   }
 }
 

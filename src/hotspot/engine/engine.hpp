@@ -2,31 +2,29 @@
 //
 // An InferenceEngine owns a trained CnnDetector and serves high-volume
 // scoring: callers submit clips from any thread into a bounded MPSC
-// queue; a batcher thread forms adaptive micro-batches (flushing when a
-// batch reaches max_batch, or as soon as the queue is empty and no
-// caller is still enqueuing — there is no flush clock), extracts
-// feature tensors in parallel directly into a pinned input slab, and
-// hands the slab to a forward thread that runs one batched CNN pass.
-// Two slabs double-buffer the pipeline so batch N+1 extracts while
-// batch N is in the network. All activations and the softmax output are
-// drawn from a per-engine WorkspaceArena, so the steady state performs
-// no heap allocations.
+// queue; one batcher thread forms adaptive micro-batches (flushing when
+// a batch reaches max_batch, or as soon as the queue is empty and no
+// caller is still enqueuing — there is no flush clock), extracts their
+// feature tensors in parallel straight into the engine's one input
+// slab, runs one batched CNN pass over it, and completes the callers
+// before it forms the next batch. All activations and the softmax
+// output are drawn from a per-engine WorkspaceArena, so the steady
+// state performs no heap allocations.
 //
 // Determinism contract: every per-sample computation in the CNN forward
 // path is arithmetically independent of the other samples in the batch
-// (per-sample im2col+GEMM, row-independent dense layers, per-row
+// (per-sample conv2d_direct, row-independent dense layers, per-row
 // softmax), so the probability the engine returns for a clip is bitwise
 // identical to the serial predict_probability() path regardless of how
 // requests landed in batches. The determinism suite asserts this at 1,
 // 2 and 8 threads.
 //
 // Single-worker collapse: on a host where the pool has one worker
-// (num_threads() <= 1 at construction), the queue/batcher/forward
-// handoff is pure overhead — three threads time-slicing one core made
-// the engine ~0.82x the per-clip path. The engine then spawns no
-// threads at all: score() extracts and forwards max_batch-sized chunks
-// synchronously on the calling thread, through the same slab + arena
-// code, so results stay bitwise identical while the engine is never
+// (num_threads() <= 1 at construction), the queue and batcher handoff
+// is pure overhead — two threads time-slicing one core. The engine then
+// spawns no thread at all: score() runs max_batch-sized chunks through
+// the batcher's own extract + forward + complete step on the calling
+// thread, so results stay bitwise identical while the engine is never
 // slower than per-clip. The mode is fixed at construction; later
 // set_num_threads() calls do not change it.
 #pragma once
@@ -95,8 +93,8 @@ struct EngineStats {
   std::uint64_t flush_timeout = 0;
   std::uint64_t flush_drain = 0;    ///< batches dispatched by shutdown
   /// Batches run synchronously by the single-worker collapse (also
-  /// counted in `batches`; zero when the engine runs the threaded
-  /// pipeline).
+  /// counted in `batches`; zero when the engine runs its batcher
+  /// thread).
   std::uint64_t inline_batches = 0;
   /// Queued requests dropped because their deadline passed before the
   /// batcher reached them (each raised DeadlineExceeded at its caller).
@@ -142,7 +140,9 @@ class InferenceEngine {
 
   /// Hotspot probabilities index-aligned with `clips`; blocks until all
   /// are scored. Bitwise identical to calling
-  /// detector().predict_probability() per clip. With a deadline, throws
+  /// detector().predict_probability() per clip. Throws CheckError,
+  /// before anything is queued, when a clip's window fails the
+  /// extractor's check_window. With a deadline, throws
   /// DeadlineExceeded when it is already past at submission or passes
   /// while requests wait in the batcher queue (expired requests are
   /// dropped without a forward pass; an inline-mode batch that already
@@ -167,9 +167,9 @@ class InferenceEngine {
   std::vector<double> score_labeled(
       std::span<const layout::LabeledClip> clips);
 
-  /// Stops accepting work, drains every queued request through the
-  /// pipeline, joins the worker threads. Idempotent; the destructor
-  /// calls it. Outstanding score() calls complete with real results.
+  /// Stops accepting work, scores every queued request, joins the
+  /// batcher thread. Idempotent; the destructor calls it. Outstanding
+  /// score() calls complete with real results.
   void shutdown();
 
   EngineStats stats() const;
@@ -200,15 +200,6 @@ class InferenceEngine {
     /// of the engine.queue_wait span.
     std::uint64_t enqueue_ns = 0;
   };
-  /// One pipeline buffer: feature slab + the requests it carries.
-  struct Slab {
-    std::vector<float> storage;      // n * feat floats, capacity max_batch
-    std::vector<Request> requests;   // capacity max_batch
-    FlushReason reason = FlushReason::kFull;
-    double extract_seconds = 0.0;
-    bool free = true;
-  };
-
   /// Scores `n` clips laid out `clip_stride` bytes apart into
   /// out[0, n): inline under the single-worker collapse, otherwise
   /// through the queue, blocking until every clip has completed. The
@@ -233,16 +224,14 @@ class InferenceEngine {
   void expire_request(const Request& r);
   void wait_and_check(Completion& done, std::size_t submitted,
                       std::size_t total);
-  /// Single-worker collapse: extract + forward `n` clips synchronously
-  /// in max_batch chunks on the calling thread.
+  /// Single-worker collapse: runs `n` clips through run_batch in
+  /// max_batch chunks on the calling thread.
   void score_inline(const layout::Clip* first, std::size_t clip_stride,
                     std::size_t n, double* out, std::uint64_t trace_id);
-  void run_batch(Slab* slab);
+  /// Extracts batch_ into features_, runs the forward pass, writes the
+  /// results and completes the waiters.
+  void run_batch(FlushReason reason);
   void batcher_loop();
-  void forward_loop();
-  Slab* acquire_free_slab();
-  void release_slab(Slab* slab);
-  void dispatch(Slab* slab);
 
   EngineConfig config_;
   const CnnDetector* detector_;
@@ -261,19 +250,16 @@ class InferenceEngine {
   std::size_t max_queue_depth_ = 0;
   std::uint64_t requests_ = 0;
 
-  // Double-buffered slabs + mailbox (batcher -> forward).
-  std::mutex pipe_mu_;
-  std::condition_variable slab_cv_;  // batcher waits: a slab is free
-  std::condition_variable mail_cv_;  // forward waits: a batch is ready
-  Slab slabs_[2];
-  std::deque<Slab*> mailbox_;
-  bool forward_stop_ = false;
-
-  // Forward-thread-only state (single consumer, no locking needed).
+  // The one slab: the batch's requests and their feature tensors
+  // (capacity max_batch), plus the forward pass's arena. Only the thread
+  // running run_batch touches them: the batcher, or under the
+  // single-worker collapse a caller holding inline_mu_.
+  std::vector<Request> batch_;
+  std::vector<float> features_;
   nn::WorkspaceArena arena_;
 
-  // Arena counters snapshotted by the forward thread after each batch so
-  // stats() never races the arena itself.
+  // Arena counters snapshotted after each batch so stats() never races
+  // the arena itself.
   mutable std::mutex stats_mu_;
   nn::WorkspaceArena::Stats arena_stats_;
 
@@ -290,12 +276,11 @@ class InferenceEngine {
   mutable std::optional<std::uint64_t> model_fingerprint_[2];
 
   // Single-worker collapse (fixed at construction). inline_mu_
-  // serializes concurrent score() callers over slabs_[0] and the arena.
+  // serializes concurrent score() callers over the slab and the arena.
   bool inline_mode_ = false;
   std::mutex inline_mu_;
 
   std::thread batcher_;
-  std::thread forward_;
   std::atomic<bool> shut_down_{false};
 };
 

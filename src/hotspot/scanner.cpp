@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -276,20 +275,8 @@ void ScanConfig::validate() const {
 
 void ScanConfig::validate_for(const CnnDetector& detector) const {
   validate();
-  const fte::FeatureTensorConfig& f = detector.extractor().config();
-  const double px = static_cast<double>(window_size) / f.nm_per_px;
-  HSDL_CHECK_MSG(std::abs(px - std::round(px)) < 1e-9,
-                 "scan config: window_size "
-                     << window_size
-                     << " nm is not an integer number of pixels at "
-                     << f.nm_per_px << " nm/px");
-  const auto side = static_cast<std::size_t>(std::llround(px));
-  HSDL_CHECK_MSG(side % f.blocks_per_side == 0,
-                 "scan config: window_size "
-                     << window_size << " nm rasterizes to " << side
-                     << " px, which does not divide into the detector's "
-                     << f.blocks_per_side << "x" << f.blocks_per_side
-                     << " feature-tensor blocks");
+  detector.extractor().check_window(
+      geom::Rect::from_xywh(0, 0, window_size, window_size));
 }
 
 ChipScanner::ChipScanner(const ScanConfig& config) : config_(config) {
@@ -299,9 +286,9 @@ ChipScanner::ChipScanner(const ScanConfig& config) : config_(config) {
 ScanReport ChipScanner::scan(const layout::LayoutSource& source,
                              const Detector& detector) const {
   if (const auto* cnn = dynamic_cast<const CnnDetector*>(&detector)) {
-    // Production path: a scan-local engine overlaps feature extraction
-    // with the batched CNN forward pass. Results are bitwise identical
-    // to the per-clip path (DESIGN.md §11).
+    // Production path: a scan-local engine extracts and forwards
+    // windows in micro-batches. Results are bitwise identical to the
+    // per-clip path (DESIGN.md §11).
     InferenceEngine engine(*cnn);
     return scan(source, engine);
   }

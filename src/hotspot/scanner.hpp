@@ -7,8 +7,8 @@
 // the production flow the paper targets: replace full-chip lithography
 // simulation (10 s/clip) with millisecond ML screening and simulate only
 // the flagged windows. CNN detectors are routed through the batched
-// InferenceEngine (DESIGN.md §11) so feature extraction overlaps the
-// network forward pass.
+// InferenceEngine (DESIGN.md §11), which extracts and forwards windows
+// in micro-batches.
 //
 // One scan loop serves every mode: a CellScanCache replays repeated
 // windows, ScanOptions::journal_path makes the scan crash-safe and
@@ -40,11 +40,12 @@ struct ScanConfig {
   /// with a positioned error. The scanner constructor calls this.
   void validate() const;
 
-  /// validate() plus the window/detector compatibility checks: the
-  /// window must rasterize to an integer pixel count at the detector's
-  /// raster pitch, divisible into its feature-tensor blocks. Called on
-  /// every engine-routed scan so a mismatch fails with a positioned
-  /// message instead of an assertion deep inside extraction.
+  /// validate() plus the detector's FeatureTensorExtractor::check_window
+  /// on a window_size square: it must rasterize to a whole pixel count
+  /// at the detector's raster pitch, divisible into its feature-tensor
+  /// blocks. Called on every engine-routed scan so a mismatch fails
+  /// with a positioned message instead of an assertion deep inside
+  /// extraction.
   void validate_for(const CnnDetector& detector) const;
 };
 

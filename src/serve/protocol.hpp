@@ -67,7 +67,9 @@ enum class MsgType : std::uint8_t {
 };
 
 enum class ErrorCode : std::uint8_t {
-  kBadFrame = 1,       ///< malformed/corrupt frame (session closes)
+  kBadFrame = 1,       ///< malformed/corrupt frame (session closes), or
+                       ///< a clip window the model cannot score (the
+                       ///< session stays usable)
   kBadVersion = 2,     ///< protocol version mismatch
   kTooManyClips = 3,   ///< request exceeds max_clips_per_request
   kQuotaExceeded = 4,  ///< request alone exceeds the tenant quota

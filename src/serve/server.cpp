@@ -469,6 +469,17 @@ void HotspotServer::handle_score(Socket& sock, SessionCtx& ctx,
     }
     send_error(sock, ErrorCode::kInternal, "allocation failure while scoring");
     return;
+  } catch (const CheckError& e) {
+    // A clip window the model cannot take: the engine rejects it on
+    // this thread before queuing anything. The request is malformed;
+    // the session stays usable.
+    end_scoring(n);
+    quota.release();
+    flight.score_ms = static_cast<float>(stage.millis());
+    flight.error = static_cast<std::uint8_t>(ErrorCode::kBadFrame);
+    send_error(sock, ErrorCode::kBadFrame,
+               std::string("unscorable request: ") + e.what());
+    return;
   }
   end_scoring(n);
   flight.score_ms = static_cast<float>(stage.millis());

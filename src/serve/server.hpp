@@ -30,7 +30,8 @@
 // overload clears, reporting the serving mode in every response.
 // Session socket timeouts reap stuck peers, freeing the worker and any
 // tenant quota they held. Engine-side failures (allocation failure,
-// non-finite score) answer kInternal and leave the session usable.
+// non-finite score) answer kInternal and leave the session usable; a
+// clip window the model cannot score answers kBadFrame, likewise.
 //
 // Observability (DESIGN.md §15): a sampled request's trace id follows it through recv/decode/quota/score/rank/
 // send and into the engine's micro-batcher, producing one span tree in

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/check.hpp"
 #include "hotspot/benchmark_factory.hpp"
@@ -32,6 +33,24 @@ CnnDetectorConfig fast_cnn_config() {
   return cfg;
 }
 
+/// One fast_cnn_config() detector trained once on tiny_benchmark() and
+/// saved to a checkpoint, shared by every case that only reads a trained
+/// model (training is this suite's cost). A case that changes the
+/// detector puts it back; one that trains further loads its own copy.
+struct TrainedCnn {
+  CnnDetector det{fast_cnn_config()};
+  std::string checkpoint = ::testing::TempDir() + "/detector_trained.ckpt";
+  TrainedCnn() {
+    det.train(tiny_benchmark().train);
+    det.save(checkpoint);
+  }
+};
+
+TrainedCnn& trained_cnn() {
+  static TrainedCnn trained;
+  return trained;
+}
+
 TEST(CnnDetectorTest, NameAndConfigCoupling) {
   CnnDetectorConfig cfg;
   cfg.feature.coeffs = 16;
@@ -53,9 +72,8 @@ TEST(CnnDetectorTest, ExtractDatasetShapes) {
 }
 
 TEST(CnnDetectorTest, TrainEvaluateBeatsChance) {
-  CnnDetector det(fast_cnn_config());
+  const CnnDetector& det = trained_cnn().det;
   const auto& bench = tiny_benchmark();
-  det.train(bench.train);
   DetectorEval eval = det.evaluate(bench.test);
   EXPECT_EQ(eval.confusion.total(), bench.test.size());
   // Balanced accuracy above coin flip.
@@ -69,9 +87,8 @@ TEST(CnnDetectorTest, TrainEvaluateBeatsChance) {
 }
 
 TEST(CnnDetectorTest, PredictMatchesBatchedEvaluate) {
-  CnnDetector det(fast_cnn_config());
+  const CnnDetector& det = trained_cnn().det;
   const auto& bench = tiny_benchmark();
-  det.train(bench.train);
   Confusion loop;
   for (const auto& lc : bench.test)
     loop.add(lc.label == layout::HotspotLabel::kHotspot,
@@ -82,12 +99,13 @@ TEST(CnnDetectorTest, PredictMatchesBatchedEvaluate) {
 }
 
 TEST(CnnDetectorTest, ShiftIncreasesDetections) {
-  CnnDetector det(fast_cnn_config());
+  CnnDetector& det = trained_cnn().det;
   const auto& bench = tiny_benchmark();
-  det.train(bench.train);
   DetectorEval neutral = det.evaluate(bench.test);
+  const double saved_shift = det.shift();
   det.set_shift(0.3);
   DetectorEval shifted = det.evaluate(bench.test);
+  det.set_shift(saved_shift);
   EXPECT_GE(shifted.confusion.detected(), neutral.confusion.detected());
   EXPECT_GE(shifted.confusion.accuracy(), neutral.confusion.accuracy());
 }
@@ -127,9 +145,10 @@ TEST(SmoothBoostDetectorTest, TrainsAndDetects) {
 TEST(CnnDetectorTest, OnlineUpdateImprovesOnNewData) {
   // Train on the benchmark, then stream additional labeled clips through
   // update_online: fitting error on the new stream must not get worse.
+  // It changes the weights, so it works on a copy of the shared model.
   CnnDetector det(fast_cnn_config());
+  det.load(trained_cnn().checkpoint);
   const auto& bench = tiny_benchmark();
-  det.train(bench.train);
   // "New" data: a slice of test clips (unseen during training).
   std::vector<layout::LabeledClip> fresh(bench.test.begin(),
                                          bench.test.begin() + 60);
@@ -151,13 +170,11 @@ TEST(CnnDetectorTest, OnlineUpdateRejectsEmptyStream) {
 }
 
 TEST(CnnDetectorTest, SaveLoadRoundTripsPredictions) {
-  CnnDetector a(fast_cnn_config());
+  const TrainedCnn& trained = trained_cnn();
+  const CnnDetector& a = trained.det;
   const auto& bench = tiny_benchmark();
-  a.train(bench.train);
-  const std::string path = ::testing::TempDir() + "/detector.ckpt";
-  a.save(path);
   CnnDetector b(fast_cnn_config());  // fresh random weights
-  b.load(path);
+  b.load(trained.checkpoint);
   for (std::size_t i = 0; i < bench.test.size(); i += 11)
     EXPECT_EQ(a.predict(bench.test[i].clip), b.predict(bench.test[i].clip));
 }

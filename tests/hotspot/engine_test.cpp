@@ -1,8 +1,9 @@
 // InferenceEngine unit tests: batching policy (flush on full batch, on
 // idle — queue empty and no submission still enqueuing — and on
 // shutdown drain), config validation, the zero-steady-state allocation
-// property of the engine's workspace arena, and bitwise equivalence
-// with the serial per-clip inference path.
+// property of the engine's workspace arena, bitwise equivalence with
+// the serial per-clip inference path, and unscorable clip windows
+// rejected on the submitting thread.
 #include "hotspot/engine/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -330,6 +331,29 @@ TEST(EngineTest, InlinePathServesConcurrentCallersAndLabeledClips) {
     EXPECT_EQ(direct[i], via_labeled[i]);
   EXPECT_EQ(engine.stats().requests, 2 * clips.size());
   EXPECT_GE(engine.stats().inline_batches, 2u);
+}
+
+TEST(EngineTest, UnscorableWindowThrowsAtTheCaller) {
+  // At pool width 2 the batcher thread extracts; a window it could not
+  // take must throw here, on the submitting thread, before anything is
+  // queued.
+  ThreadCountGuard guard(2);
+  const CnnDetector detector(small_config());  // 4 nm/px, 12 blocks
+  InferenceEngine engine(detector);
+
+  std::vector<layout::Clip> clips = make_clips(3, 59);
+  clips[1].window = geom::Rect::from_xywh(0, 0, 1200, 1000);  // 300x250 px
+  EXPECT_THROW(engine.score(clips), CheckError);
+  clips[1].window = geom::Rect::from_xywh(0, 0, 1202, 1202);  // 300.5 px
+  EXPECT_THROW(engine.score(clips), CheckError);
+  EXPECT_EQ(engine.stats().requests, 0u);
+
+  // The engine is unharmed and still scores good windows.
+  clips[1] = make_clips(1, 61)[0];
+  const std::vector<double> probs = engine.score(clips);
+  ASSERT_EQ(probs.size(), clips.size());
+  for (std::size_t i = 0; i < clips.size(); ++i)
+    EXPECT_EQ(probs[i], detector.predict_probability(clips[i]));
 }
 
 TEST(DetectorConfigTest, ValidateRejectsNonsense) {

@@ -2,7 +2,8 @@
 // the serial per-clip oracle, ranked-hit ordering, hot-swap under load
 // (in-flight requests complete against the model that scored them),
 // corrupt frames killing the session but not the server, request-cap
-// rejection that leaves the session usable, and graceful drain.
+// and unscorable-window rejections that leave the session usable, and
+// graceful drain.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 #include "hotspot/detector.hpp"
 #include "layout/generator.hpp"
 #include "serve/client.hpp"
@@ -45,6 +47,15 @@ std::vector<layout::Clip> make_clips(std::size_t n, std::uint64_t seed) {
     clips.push_back(gen.generate().normalized());
   return clips;
 }
+
+/// Pins the global pool to `n` threads for one test, restoring on exit.
+struct ThreadCountGuard {
+  explicit ThreadCountGuard(std::size_t n) : saved(num_threads()) {
+    set_num_threads(n);
+  }
+  ~ThreadCountGuard() { set_num_threads(saved); }
+  std::size_t saved;
+};
 
 /// A detector with weights distinguishable from the default seed's, so
 /// a hot-swap visibly changes every probability.
@@ -252,6 +263,39 @@ TEST(ServerTest, OversizedRequestRejectedWithoutKillingSession) {
   const std::vector<layout::Clip> ok = make_clips(4, 23);
   EXPECT_EQ(client.score(ok).hits.size(), ok.size());
   client.bye();
+}
+
+TEST(ServerTest, UnscorableClipWindowRejectedWithoutKillingServer) {
+  // Pool width 2: the engine runs its batcher thread, so a bad window
+  // must be rejected before it can reach that thread.
+  ThreadCountGuard guard(2);
+  ModelRegistry registry(small_config(), hotspot::EngineConfig{});
+  registry.install(make_detector(1), "gen1");
+  ServeConfig config;
+  config.max_clips_per_request = 4;
+  config.busy_max_inflight_clips = 4;
+  HotspotServer server(registry, config);
+
+  ServeClient bad("127.0.0.1", server.port(), "bad");
+  std::vector<layout::Clip> clips = make_clips(4, 29);
+  clips[2].window = geom::Rect::from_xywh(0, 0, 1200, 1000);  // 300x250 px
+  try {
+    bad.score(clips);
+    FAIL() << "a non-square clip window was scored";
+  } catch (const ServerError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kBadFrame);
+  }
+  EXPECT_EQ(server.tenant_inflight("bad"), 0u);
+
+  // Another session still scores a request at the whole in-flight
+  // ceiling, so the rejected request returned its reservation.
+  ServeClient good("127.0.0.1", server.port(), "good");
+  const std::vector<layout::Clip> ok = make_clips(4, 31);
+  EXPECT_EQ(good.score(ok).hits.size(), ok.size());
+  // The rejected session stays usable too.
+  EXPECT_EQ(bad.score(ok).hits.size(), ok.size());
+  good.bye();
+  bad.bye();
 }
 
 TEST(ServerTest, SwapWithBadCheckpointFailsWithoutDroppingActiveModel) {
