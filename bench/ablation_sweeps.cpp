@@ -10,6 +10,7 @@
 #include "common.hpp"
 #include "common/timer.hpp"
 #include "hotspot/trainer.hpp"
+#include "nn/workspace.hpp"
 
 using namespace hsdl;
 
@@ -97,8 +98,9 @@ int main() {
     hotspot::HotspotCnnConfig small;  // 12x12x32 (feature tensor)
     hotspot::HotspotCnn ft_model(small);
     nn::Tensor ft_in({8, 32, 12, 12}, 0.5f);
+    nn::WorkspaceArena ws;
     WallTimer t1;
-    for (int i = 0; i < 10; ++i) (void)ft_model.probabilities(ft_in);
+    for (int i = 0; i < 10; ++i) ws.recycle(ft_model.probabilities(ft_in, ws));
     const double ft_ms = t1.millis() / 10;
 
     // Raw input at the same nm coverage: 1 channel of 600x600 px does not
@@ -111,7 +113,8 @@ int main() {
     hotspot::HotspotCnn raw_model(big);
     nn::Tensor raw_in({8, 1, 96, 96}, 0.5f);
     WallTimer t2;
-    for (int i = 0; i < 10; ++i) (void)raw_model.probabilities(raw_in);
+    for (int i = 0; i < 10; ++i)
+      ws.recycle(raw_model.probabilities(raw_in, ws));
     const double raw_ms = t2.millis() / 10;
     std::printf("feature tensor input : %.2f ms / batch of 8\n", ft_ms);
     std::printf("96x96 raw-ish input  : %.2f ms / batch of 8 (%.1fx)\n",

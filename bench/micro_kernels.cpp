@@ -12,6 +12,7 @@
 #include "litho/labeler.hpp"
 #include "nn/gemm.hpp"
 #include "nn/loss.hpp"
+#include "nn/workspace.hpp"
 
 namespace {
 
@@ -149,9 +150,11 @@ void BM_CnnForward(benchmark::State& state) {
   hotspot::HotspotCnn model;
   const auto batch = static_cast<std::size_t>(state.range(0));
   nn::Tensor x({batch, 32, 12, 12}, 0.5f);
+  nn::WorkspaceArena ws;
   for (auto _ : state) {
-    auto p = model.probabilities(x);
+    auto p = model.probabilities(x, ws);
     benchmark::DoNotOptimize(p.data());
+    ws.recycle(std::move(p));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));

@@ -7,6 +7,7 @@
 #include "common/timer.hpp"
 #include "common/string_util.hpp"
 #include "hotspot/cnn.hpp"
+#include "nn/workspace.hpp"
 
 namespace {
 
@@ -78,13 +79,14 @@ int main() {
 
   std::printf("\ntotal learnable parameters : %zu\n",
               model.net().param_count());
+  nn::WorkspaceArena ws;
   WallTimer timer;
-  for (int i = 0; i < 20; ++i) (void)model.probabilities(x);
+  for (int i = 0; i < 20; ++i) ws.recycle(model.probabilities(x, ws));
   std::printf("full forward (batch 1)     : %.2f ms\n",
               timer.millis() / 20);
   nn::Tensor batch({32, 32, 12, 12}, 0.5f);
   timer.reset();
-  for (int i = 0; i < 5; ++i) (void)model.probabilities(batch);
+  for (int i = 0; i < 5; ++i) ws.recycle(model.probabilities(batch, ws));
   std::printf("full forward (batch 32)    : %.2f ms\n", timer.millis() / 5);
   std::printf("\nTable 1 shape check        : %s\n",
               all_match ? "ALL ROWS MATCH the paper" : "MISMATCH");

@@ -3,11 +3,15 @@
 // The direct-convolution, operator-fusion and feature-extraction fast
 // paths each keep their original implementation alive as a reference
 // oracle. With reference mode on, Conv2d falls back to im2col+GEMM,
-// Sequential::infer runs every layer unfused, and feature extraction runs
-// rasterize + a per-block DCT — the pre-optimization serving pipeline.
-// Benchmarks use it to measure the honest baseline; equivalence tests
-// flip it to assert the fast paths match (features: within float
-// rounding, see fte/feature_tensor.hpp).
+// Sequential::infer runs every layer unfused, HotspotCnn::probabilities
+// applies a separate softmax, Linear keeps gemm's cutoff dispatch, and
+// feature extraction runs rasterize + a per-block DCT — the
+// pre-optimization serving pipeline. There is no separate oracle entry
+// point: the same calls (CnnDetector::predict_probability included) run
+// the reference kernels while the flag is on. Benchmarks use it to
+// measure the honest baseline; equivalence tests flip it to assert the
+// fast paths match (features: within float rounding, see
+// fte/feature_tensor.hpp).
 //
 // The flag is read per call with relaxed ordering: flip it only while no
 // inference is in flight (benchmarks and tests do so between phases).

@@ -59,16 +59,12 @@ nn::Tensor HotspotCnn::logits(const nn::Tensor& input, bool train) {
   return net_.forward(input, train);
 }
 
-nn::Tensor HotspotCnn::probabilities(const nn::Tensor& input) const {
-  return nn::softmax(net_.infer(input));
-}
-
 nn::Tensor HotspotCnn::probabilities(const nn::Tensor& input,
                                      nn::WorkspaceArena& ws) const {
   // Fast path: run the fused walk up to (but not including) the final
   // Linear, then apply FC + softmax in one pass so the logits never
   // round-trip through the arena. Bitwise identical to the unfused
-  // pipeline (shared softmax_row kernel).
+  // reference-mode walk below (shared softmax_row kernel).
   if (!runtime::reference_mode() && net_.size() >= 2) {
     if (const auto* last =
             dynamic_cast<const nn::Linear*>(&net_.layer(net_.size() - 1))) {

@@ -50,13 +50,11 @@ class HotspotCnn {
 
   /// Inference pass returning softmax probabilities [N, 2]. Const and
   /// thread-safe: uses the stateless Layer::infer path, so one trained
-  /// model can serve concurrent evaluation/scanning threads.
-  nn::Tensor probabilities(const nn::Tensor& input) const;
-
-  /// Arena-backed inference: bitwise identical probabilities, but every
-  /// intermediate activation and the result are drawn from `ws`, so a
-  /// warm arena serves repeated batches with zero heap allocations. The
-  /// returned tensor should be recycle()d back into `ws` once consumed.
+  /// model can serve concurrent evaluation/scanning threads (one arena
+  /// per thread). Every intermediate activation and the result are
+  /// drawn from `ws`, so a warm arena serves repeated batches with zero
+  /// heap allocations. The returned tensor should be recycle()d back
+  /// into `ws` once consumed.
   nn::Tensor probabilities(const nn::Tensor& input,
                            nn::WorkspaceArena& ws) const;
 

@@ -8,7 +8,6 @@
 #include "common/check.hpp"
 #include "common/io.hpp"
 #include "common/parallel.hpp"
-#include "common/refmode.hpp"
 #include "common/timer.hpp"
 #include "nn/workspace.hpp"
 #include "hotspot/engine/engine.hpp"
@@ -162,11 +161,6 @@ nn::Tensor CnnDetector::score_batch(const nn::Tensor& x, nn::WorkspaceArena& ws,
   return model_.probabilities(x, ws);
 }
 
-nn::Tensor CnnDetector::score(const nn::Tensor& x) const {
-  if (use_quantized()) return quantized_->probabilities(x);
-  return model_.probabilities(x);
-}
-
 void CnnDetector::train(std::span<const layout::LabeledClip> train_clips) {
   HSDL_CHECK(!train_clips.empty());
   // 25 % validation split (paper Section 4.2), then feature extraction.
@@ -272,18 +266,12 @@ bool CnnDetector::predict(const layout::Clip& clip) const {
 }
 
 double CnnDetector::predict_probability(const layout::Clip& clip) const {
+  // Per-thread input tensor and workspace arena, so a window prediction
+  // allocates nothing once warm. Under ReferenceModeGuard the same calls
+  // run the reference kernels (extraction, layer walk and convs each
+  // read the flag), so this one path is also the test oracle.
   std::vector<std::size_t> shape = model_.input_shape();
   shape.insert(shape.begin(), 1);
-  if (runtime::reference_mode()) {
-    // Oracle path: the original allocating pipeline, end to end.
-    fte::FeatureTensor ft = extractor_.extract(clip);
-    const nn::Tensor x = nn::Tensor::from_data(shape, std::move(ft.data));
-    const nn::Tensor probs = score(x);
-    return static_cast<double>(probs.at(0, kHotspotIndex));
-  }
-  // Serving fast path: per-thread input tensor and workspace arena, so a
-  // window prediction allocates nothing once warm. The arena-backed
-  // forward runs the same kernels as score(); only buffer reuse differs.
   thread_local nn::Tensor x;
   thread_local nn::WorkspaceArena arena;
   if (x.shape() != shape) x = nn::Tensor(shape);
@@ -298,22 +286,22 @@ std::vector<double> CnnDetector::predict_probabilities(
     std::span<const layout::Clip> clips) const {
   std::vector<double> out(clips.size());
   constexpr std::size_t kChunk = 64;
-  const std::size_t feat = config_.feature.coeffs *
-                           config_.feature.blocks_per_side *
-                           config_.feature.blocks_per_side;
   const std::vector<std::size_t> shape = model_.input_shape();
+  const std::size_t feat = shape[0] * shape[1] * shape[2];
+  nn::WorkspaceArena arena;
   for (std::size_t start = 0; start < clips.size(); start += kChunk) {
-    const std::size_t end = std::min(start + kChunk, clips.size());
-    const std::size_t n = end - start;
-    const std::vector<fte::FeatureTensor> fts =
-        extractor_.extract_batch(clips.subspan(start, n));
-    nn::Tensor x({n, shape[0], shape[1], shape[2]});
-    for (std::size_t i = 0; i < n; ++i)
-      std::copy(fts[i].data.begin(), fts[i].data.end(),
-                x.data() + i * feat);
-    const nn::Tensor probs = score(x);
+    const std::size_t n = std::min(kChunk, clips.size() - start);
+    nn::Tensor x = arena.take({n, shape[0], shape[1], shape[2]});
+    parallel_for(0, n, 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i)
+        extractor_.extract_into(clips[start + i],
+                                std::span<float>(x.data() + i * feat, feat));
+    });
+    nn::Tensor probs = score_batch(x, arena);
     for (std::size_t i = 0; i < n; ++i)
       out[start + i] = static_cast<double>(probs.at(i, kHotspotIndex));
+    arena.recycle(std::move(probs));
+    arena.recycle(std::move(x));
   }
   return out;
 }

@@ -176,7 +176,6 @@ class CnnDetector final : public Detector {
 
  private:
   std::string fingerprint() const;
-  nn::Tensor score(const nn::Tensor& x) const;
 
   CnnDetectorConfig config_;
   fte::FeatureTensorExtractor extractor_;

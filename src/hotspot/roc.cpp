@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "nn/workspace.hpp"
 
 namespace hsdl::hotspot {
 namespace {
@@ -14,11 +15,13 @@ std::vector<double> hotspot_probabilities(
   std::vector<double> probs;
   probs.reserve(data.size());
   constexpr std::size_t kChunk = 128;
+  nn::WorkspaceArena ws;
   for (std::size_t start = 0; start < data.size(); start += kChunk) {
     const std::size_t end = std::min(start + kChunk, data.size());
-    const nn::Tensor p = model.probabilities(data.gather(start, end));
+    nn::Tensor p = model.probabilities(data.gather(start, end), ws);
     for (std::size_t i = start; i < end; ++i)
       probs.push_back(static_cast<double>(p.at(i - start, kHotspotIndex)));
+    ws.recycle(std::move(p));
   }
   return probs;
 }

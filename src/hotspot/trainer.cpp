@@ -14,6 +14,7 @@
 #include "hotspot/train_state.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/serialize.hpp"
+#include "nn/workspace.hpp"
 
 namespace hsdl::hotspot {
 namespace {
@@ -98,18 +99,19 @@ Confusion evaluate(HotspotCnn& model, const nn::ClassificationDataset& data,
   const double threshold = 0.5 - shift;
   const std::size_t batches = (data.size() + batch - 1) / batch;
   // Batches run in parallel, each writing a disjoint probability slice
-  // (probabilities() is const and thread-safe); the confusion counts are
-  // then accumulated serially in sample order, so the result matches the
-  // serial walk for any thread count. The contiguous gather avoids the
-  // per-batch index-vector rebuild the old loop paid for.
+  // (probabilities() is const and thread-safe; each chunk owns its
+  // arena); the confusion counts are then accumulated serially in sample
+  // order, so the result matches the serial walk for any thread count.
   std::vector<float> prob_hotspot(data.size());
   parallel_for(0, batches, 1, [&](std::size_t bb, std::size_t be) {
+    nn::WorkspaceArena ws;
     for (std::size_t bi = bb; bi < be; ++bi) {
       const std::size_t start = bi * batch;
       const std::size_t end = std::min(start + batch, data.size());
-      const nn::Tensor probs = model.probabilities(data.gather(start, end));
+      nn::Tensor probs = model.probabilities(data.gather(start, end), ws);
       for (std::size_t i = start; i < end; ++i)
         prob_hotspot[i] = probs.at(i - start, kHotspotIndex);
+      ws.recycle(std::move(probs));
     }
   });
   for (std::size_t i = 0; i < data.size(); ++i)

@@ -18,13 +18,6 @@ Tensor Relu::forward(const Tensor& input, bool /*train*/) {
   return out;
 }
 
-Tensor Relu::infer(const Tensor& input) const {
-  Tensor out(input.shape());
-  for (std::size_t i = 0; i < input.numel(); ++i)
-    out[i] = input[i] > 0.0f ? input[i] : 0.0f;
-  return out;
-}
-
 Tensor Relu::infer(const Tensor& input, WorkspaceArena& ws) const {
   Tensor out = ws.take(input.shape());
   for (std::size_t i = 0; i < input.numel(); ++i)
@@ -49,8 +42,8 @@ Tensor Sigmoid::forward(const Tensor& input, bool /*train*/) {
   return output_;
 }
 
-Tensor Sigmoid::infer(const Tensor& input) const {
-  Tensor out(input.shape());
+Tensor Sigmoid::infer(const Tensor& input, WorkspaceArena& ws) const {
+  Tensor out = ws.take(input.shape());
   for (std::size_t i = 0; i < input.numel(); ++i)
     out[i] =
         static_cast<float>(1.0 / (1.0 + std::exp(-static_cast<double>(

@@ -11,7 +11,6 @@ class Relu final : public Layer {
  public:
   std::string name() const override { return "relu"; }
   Tensor forward(const Tensor& input, bool train) override;
-  Tensor infer(const Tensor& input) const override;
   Tensor infer(const Tensor& input, WorkspaceArena& ws) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<std::size_t> output_shape(
@@ -28,7 +27,7 @@ class Sigmoid final : public Layer {
  public:
   std::string name() const override { return "sigmoid"; }
   Tensor forward(const Tensor& input, bool train) override;
-  Tensor infer(const Tensor& input) const override;
+  Tensor infer(const Tensor& input, WorkspaceArena& ws) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<std::size_t> output_shape(
       const std::vector<std::size_t>& input_shape) const override {

@@ -163,7 +163,7 @@ Tensor Conv2d::forward(const Tensor& input, bool /*train*/) {
   return out;
 }
 
-Tensor Conv2d::direct_infer(const Tensor& input, WorkspaceArena* ws,
+Tensor Conv2d::direct_infer(const Tensor& input, WorkspaceArena& ws,
                             bool fuse_relu) const {
   const auto& shp = input.shape();
   HSDL_CHECK_MSG(shp.size() == 4 && shp[1] == config_.in_channels,
@@ -182,8 +182,7 @@ Tensor Conv2d::direct_infer(const Tensor& input, WorkspaceArena* ws,
                            w,                   config_.out_channels,
                            config_.kernel,      config_.stride,
                            config_.padding};
-  const std::vector<std::size_t> out_shape{n, config_.out_channels, oh, ow};
-  Tensor out = ws != nullptr ? ws->take(out_shape) : Tensor(out_shape);
+  Tensor out = ws.take({n, config_.out_channels, oh, ow});
   hsdl::parallel_for(0, n, 1, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
       conv2d_direct(input.data() + i * config_.in_channels * h * w,
@@ -194,52 +193,13 @@ Tensor Conv2d::direct_infer(const Tensor& input, WorkspaceArena* ws,
   return out;
 }
 
-Tensor Conv2d::infer_relu(const Tensor& input) const {
-  return direct_infer(input, nullptr, /*fuse_relu=*/true);
-}
-
 Tensor Conv2d::infer_relu(const Tensor& input, WorkspaceArena& ws) const {
-  return direct_infer(input, &ws, /*fuse_relu=*/true);
-}
-
-Tensor Conv2d::infer(const Tensor& input) const {
-  if (!runtime::reference_mode())
-    return direct_infer(input, nullptr, /*fuse_relu=*/false);
-  const auto& shp = input.shape();
-  HSDL_CHECK_MSG(shp.size() == 4 && shp[1] == config_.in_channels,
-                 "conv2d expects [N," << config_.in_channels
-                                      << ",H,W], got " << input.shape_str());
-  const std::size_t n = shp[0], h = shp[2], w = shp[3];
-  const std::size_t oh = out_extent(h), ow = out_extent(w);
-  const std::size_t kk =
-      config_.in_channels * config_.kernel * config_.kernel;
-  const std::size_t ocols = oh * ow;
-
-  HSDL_TRACE_SPAN("conv2d.infer");
-  count_conv_flops(n, config_.out_channels, kk, ocols, /*passes=*/1);
-  Tensor out({n, config_.out_channels, oh, ow});
-  hsdl::parallel_for(0, n, 1, [&](std::size_t b, std::size_t e) {
-    std::vector<float> col(kk * ocols);  // per-chunk im2col scratch
-    for (std::size_t i = b; i < e; ++i) {
-      im2col(input.data() + i * config_.in_channels * h * w,
-             config_.in_channels, h, w, config_.kernel, config_.stride,
-             config_.padding, col.data());
-      float* out_i = out.data() + i * config_.out_channels * ocols;
-      matmul(config_.out_channels, ocols, kk, weight_.value.data(),
-             col.data(), out_i);
-      for (std::size_t oc = 0; oc < config_.out_channels; ++oc) {
-        const float bv = bias_.value[oc];
-        float* orow = out_i + oc * ocols;
-        for (std::size_t j = 0; j < ocols; ++j) orow[j] += bv;
-      }
-    }
-  });
-  return out;
+  return direct_infer(input, ws, /*fuse_relu=*/true);
 }
 
 Tensor Conv2d::infer(const Tensor& input, WorkspaceArena& ws) const {
   if (!runtime::reference_mode())
-    return direct_infer(input, &ws, /*fuse_relu=*/false);
+    return direct_infer(input, ws, /*fuse_relu=*/false);
   const auto& shp = input.shape();
   HSDL_CHECK_MSG(shp.size() == 4 && shp[1] == config_.in_channels,
                  "conv2d expects [N," << config_.in_channels
@@ -254,8 +214,7 @@ Tensor Conv2d::infer(const Tensor& input, WorkspaceArena& ws) const {
   count_conv_flops(n, config_.out_channels, kk, ocols, /*passes=*/1);
   Tensor out = ws.take({n, config_.out_channels, oh, ow});
   // One im2col slab for the whole batch (disjoint per-sample slices) so
-  // the parallel workers never touch the arena; same arithmetic as the
-  // allocating path, so outputs are bitwise identical.
+  // the parallel workers never touch the arena.
   ScratchScope scope(ws);
   const std::span<float> cols = ws.scratch(n * kk * ocols);
   hsdl::parallel_for(0, n, 1, [&](std::size_t b, std::size_t e) {

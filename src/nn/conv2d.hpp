@@ -32,13 +32,11 @@ class Conv2d final : public Layer {
 
   std::string name() const override;
   Tensor forward(const Tensor& input, bool train) override;
-  Tensor infer(const Tensor& input) const override;
   Tensor infer(const Tensor& input, WorkspaceArena& ws) const override;
 
   /// Fused conv + ReLU (direct kernel, no im2col): bitwise identical to
   /// infer() followed by Relu::infer() — the ReLU predicate runs inside
   /// the bias epilogue instead of a second pass over a temporary.
-  Tensor infer_relu(const Tensor& input) const;
   Tensor infer_relu(const Tensor& input, WorkspaceArena& ws) const;
 
   Tensor backward(const Tensor& grad_output) override;
@@ -54,7 +52,7 @@ class Conv2d final : public Layer {
 
  private:
   std::size_t out_extent(std::size_t in_extent) const;
-  Tensor direct_infer(const Tensor& input, WorkspaceArena* ws,
+  Tensor direct_infer(const Tensor& input, WorkspaceArena& ws,
                       bool fuse_relu) const;
 
   Conv2dConfig config_;

@@ -56,7 +56,7 @@ inline void bias_relu_epilogue(float* HSDL_RESTRICT plane, std::size_t n,
 // ---------------------------------------------------------------------------
 // Stride-1 plane path.
 //
-// The generic bodies below update each output row tap by tap, but serving
+// The generic body below updates each output row tap by tap, but serving
 // feature maps are narrow (12 wide): every row update is one partial
 // vector plus a scalar tail plus the valid-range bookkeeping, and that
 // overhead dominates the arithmetic. The stride-1 path instead copies the
@@ -261,10 +261,9 @@ __attribute__((target("avx2"))) void conv_plane_avx2(
 }
 #endif
 
-// The scalar and AVX2 bodies are intentionally near-duplicates: the
-// target attribute is per-function, and the inner row update must stay
-// separate multiply + add in both so the two variants agree bitwise
-// lane-for-lane (no FMA anywhere in this file).
+// Generic tap-accumulation body for strided convs. No model builds one
+// (HotspotCnn is stride 1), so it has no vector twin: every dispatch
+// path runs this scalar loop for stride != 1.
 
 void conv_body_scalar(const float* HSDL_RESTRICT in,
                       const float* HSDL_RESTRICT weight,
@@ -304,48 +303,6 @@ void conv_body_scalar(const float* HSDL_RESTRICT in,
   }
 }
 
-#ifdef HSDL_CONV_DIRECT_AVX2
-// target("avx2") without "fma": with FMA unavailable to the target the
-// compiler cannot contract the mul+add pairs, so every lane rounds
-// exactly like the scalar loop above.
-__attribute__((target("avx2"))) void conv_body_avx2(
-    const float* HSDL_RESTRICT in, const float* HSDL_RESTRICT weight,
-    const float* HSDL_RESTRICT bias, const ConvDirectShape& s,
-    bool fuse_relu, float* HSDL_RESTRICT out) {
-  const std::size_t oh = s.out_height(), ow = s.out_width();
-  const std::size_t kk = s.in_channels * s.kernel * s.kernel;
-  for (std::size_t oc = 0; oc < s.out_channels; ++oc) {
-    float* plane = out + oc * oh * ow;
-    for (std::size_t j = 0; j < oh * ow; ++j) plane[j] = 0.0f;
-    const float* wrow = weight + oc * kk;
-    for (std::size_t c = 0; c < s.in_channels; ++c) {
-      const float* img = in + c * s.height * s.width;
-      for (std::size_t ky = 0; ky < s.kernel; ++ky) {
-        std::size_t oy0, oy1;
-        valid_out_range(oh, s.height, ky, s.stride, s.padding, &oy0, &oy1);
-        for (std::size_t kx = 0; kx < s.kernel; ++kx) {
-          const float w = wrow[(c * s.kernel + ky) * s.kernel + kx];
-          if (w == 0.0f) continue;
-          std::size_t ox0, ox1;
-          valid_out_range(ow, s.width, kx, s.stride, s.padding, &ox0, &ox1);
-          if (ox0 >= ox1) continue;
-          const std::size_t len = ox1 - ox0;
-          for (std::size_t oy = oy0; oy < oy1; ++oy) {
-            const std::size_t iy = oy * s.stride + ky - s.padding;
-            const float* HSDL_RESTRICT ip =
-                img + iy * s.width + ox0 * s.stride + kx - s.padding;
-            float* HSDL_RESTRICT op = plane + oy * ow + ox0;
-            for (std::size_t j = 0; j < len; ++j)
-              op[j] += w * ip[j * s.stride];
-          }
-        }
-      }
-    }
-    bias_relu_epilogue(plane, oh * ow, bias[oc], fuse_relu);
-  }
-}
-#endif
-
 }  // namespace
 
 void conv2d_direct_scalar(const float* in, const float* weight,
@@ -365,16 +322,12 @@ void conv2d_direct_scalar(const float* in, const float* weight,
 void conv2d_direct(const float* in, const float* weight, const float* bias,
                    const ConvDirectShape& shape, bool fuse_relu, float* out) {
 #ifdef HSDL_CONV_DIRECT_AVX2
-  if (cpu::has_avx2_fma()) {
-    if (shape.stride == 1) {
-      Stride1Scratch& scratch = stride1_scratch();
-      const std::size_t pw = fill_padded(in, shape, &scratch.pad);
-      scratch.plane.resize(shape.out_height() * pw);
-      conv_plane_avx2(scratch.pad.data(), weight, bias, shape, fuse_relu,
-                      scratch.plane.data(), out);
-      return;
-    }
-    conv_body_avx2(in, weight, bias, shape, fuse_relu, out);
+  if (cpu::has_avx2_fma() && shape.stride == 1) {
+    Stride1Scratch& scratch = stride1_scratch();
+    const std::size_t pw = fill_padded(in, shape, &scratch.pad);
+    scratch.plane.resize(shape.out_height() * pw);
+    conv_plane_avx2(scratch.pad.data(), weight, bias, shape, fuse_relu,
+                    scratch.plane.data(), out);
     return;
   }
 #endif

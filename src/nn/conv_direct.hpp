@@ -49,7 +49,8 @@ struct ConvDirectShape {
 /// applied after the bias add (max with +0.0 via `v > 0 ? v : 0`, the
 /// same predicate as Relu::infer). `in` is [in_c, H, W], `weight` is
 /// [out_c, in_c*k*k], `out` is [out_c, oh, ow]; all row-major and fully
-/// overwritten. Dispatches to AVX2 when available (see common/cpuinfo).
+/// overwritten. Stride-1 shapes dispatch to AVX2 when available (see
+/// common/cpuinfo); other strides always run the scalar body.
 void conv2d_direct(const float* in, const float* weight, const float* bias,
                    const ConvDirectShape& shape, bool fuse_relu, float* out);
 

@@ -16,8 +16,7 @@ class Dropout final : public Layer {
 
   std::string name() const override;
   Tensor forward(const Tensor& input, bool train) override;
-  /// Inverted dropout is a pass-through at inference.
-  Tensor infer(const Tensor& input) const override { return input; }
+  /// Inverted dropout is a pass-through at inference (a copy).
   Tensor infer(const Tensor& input, WorkspaceArena& ws) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<std::size_t> output_shape(

@@ -9,9 +9,6 @@ class Flatten final : public Layer {
  public:
   std::string name() const override { return "flatten"; }
   Tensor forward(const Tensor& input, bool train) override;
-  Tensor infer(const Tensor& input) const override {
-    return input.reshaped(output_shape(input.shape()));
-  }
   Tensor infer(const Tensor& input, WorkspaceArena& ws) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<std::size_t> output_shape(

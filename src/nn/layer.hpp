@@ -43,21 +43,13 @@ class Layer {
 
   /// Inference-only forward pass: same outputs as forward(input, false)
   /// but touches no layer state, so one model can serve many threads
-  /// concurrently (parallel evaluation, full-chip scanning). backward()
-  /// must not be called after infer().
-  virtual Tensor infer(const Tensor& input) const = 0;
-
-  /// Arena-backed inference: identical arithmetic (and therefore bitwise
-  /// identical outputs) to infer(input), but the output tensor and any
-  /// internal scratch are drawn from `ws` instead of the heap, so
-  /// steady-state serving allocates nothing. The returned tensor belongs
-  /// to the arena's pool discipline — callers recycle() it when done.
-  /// The default falls back to the allocating path for layers without an
-  /// arena-aware kernel.
-  virtual Tensor infer(const Tensor& input, WorkspaceArena& ws) const {
-    (void)ws;
-    return infer(input);
-  }
+  /// concurrently (parallel evaluation, full-chip scanning). The output
+  /// tensor and any internal scratch are drawn from `ws` instead of the
+  /// heap, so a warm arena serves repeated batches with zero
+  /// allocations; the returned tensor belongs to the arena's pool
+  /// discipline — callers recycle() it when done. backward() must not be
+  /// called after infer().
+  virtual Tensor infer(const Tensor& input, WorkspaceArena& ws) const = 0;
 
   /// Given dLoss/dOutput, accumulates parameter gradients and returns
   /// dLoss/dInput. Must be called after a forward() on the same input.

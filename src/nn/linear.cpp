@@ -42,7 +42,9 @@ std::vector<std::size_t> Linear::output_shape(
 
 Tensor Linear::forward(const Tensor& input, bool /*train*/) {
   input_ = input;
-  return infer(input);
+  Tensor out({input.extent(0), out_});
+  matmul_epilogue(input, Epilogue::kNone, out);
+  return out;
 }
 
 void Linear::matmul_epilogue(const Tensor& input, Epilogue epi,
@@ -91,33 +93,15 @@ void Linear::matmul_epilogue(const Tensor& input, Epilogue epi,
   }
 }
 
-Tensor Linear::infer(const Tensor& input) const {
-  Tensor out({input.extent(0), out_});
-  matmul_epilogue(input, Epilogue::kNone, out);
-  return out;
-}
-
 Tensor Linear::infer(const Tensor& input, WorkspaceArena& ws) const {
   Tensor out = ws.take({input.extent(0), out_});
   matmul_epilogue(input, Epilogue::kNone, out);
   return out;
 }
 
-Tensor Linear::infer_relu(const Tensor& input) const {
-  Tensor out({input.extent(0), out_});
-  matmul_epilogue(input, Epilogue::kRelu, out);
-  return out;
-}
-
 Tensor Linear::infer_relu(const Tensor& input, WorkspaceArena& ws) const {
   Tensor out = ws.take({input.extent(0), out_});
   matmul_epilogue(input, Epilogue::kRelu, out);
-  return out;
-}
-
-Tensor Linear::infer_softmax(const Tensor& input) const {
-  Tensor out({input.extent(0), out_});
-  matmul_epilogue(input, Epilogue::kSoftmax, out);
   return out;
 }
 

@@ -12,7 +12,6 @@ class Linear final : public Layer {
 
   std::string name() const override;
   Tensor forward(const Tensor& input, bool train) override;
-  Tensor infer(const Tensor& input) const override;
   Tensor infer(const Tensor& input, WorkspaceArena& ws) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
@@ -23,12 +22,10 @@ class Linear final : public Layer {
   /// and ReLU predicate applied in one pass over the output instead of
   /// materializing the pre-activation. Bitwise identical to
   /// infer() followed by Relu::infer().
-  Tensor infer_relu(const Tensor& input) const;
   Tensor infer_relu(const Tensor& input, WorkspaceArena& ws) const;
 
   /// Fused y = softmax(x W^T + b) per row, via the shared softmax_row
   /// kernel. Bitwise identical to infer() followed by softmax().
-  Tensor infer_softmax(const Tensor& input) const;
   Tensor infer_softmax(const Tensor& input, WorkspaceArena& ws) const;
 
   std::size_t in_features() const { return in_; }

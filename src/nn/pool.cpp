@@ -63,32 +63,6 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
   return out;
 }
 
-Tensor MaxPool2d::infer(const Tensor& input) const {
-  const auto& shp = input.shape();
-  const auto out_shape = output_shape(shp);
-  const std::size_t n = shp[0], c = shp[1], h = shp[2], w = shp[3];
-  const std::size_t oh = out_shape[2], ow = out_shape[3];
-
-  Tensor out(out_shape);
-  std::size_t oidx = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float* img = input.data() + (i * c + ch) * h * w;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox, ++oidx) {
-          float best = img[(oy * window_) * w + ox * window_];
-          for (std::size_t dy = 0; dy < window_; ++dy)
-            for (std::size_t dx = 0; dx < window_; ++dx)
-              best = std::max(
-                  best, img[(oy * window_ + dy) * w + ox * window_ + dx]);
-          out[oidx] = best;
-        }
-      }
-    }
-  }
-  return out;
-}
-
 Tensor MaxPool2d::infer(const Tensor& input, WorkspaceArena& ws) const {
   const auto& shp = input.shape();
   const auto out_shape = output_shape(shp);

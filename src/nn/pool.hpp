@@ -13,7 +13,6 @@ class MaxPool2d final : public Layer {
 
   std::string name() const override;
   Tensor forward(const Tensor& input, bool train) override;
-  Tensor infer(const Tensor& input) const override;
   Tensor infer(const Tensor& input, WorkspaceArena& ws) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<std::size_t> output_shape(

@@ -524,6 +524,7 @@ QuantizedNet::QuantizedNet(const Sequential& net, const Tensor& calibration) {
   for (std::size_t d : in_shape_) in_numel_ *= d;
   max_act_ = in_numel_;
 
+  WorkspaceArena ws;  // outputs and scratch for the fp32 replay below
   Tensor x = calibration;
   ActQuant cur = observe(x);
   input_q_ = cur;
@@ -575,7 +576,7 @@ QuantizedNet::QuantizedNet(const Sequential& net, const Tensor& calibration) {
       op.fuse_relu =
           i + 1 < net.size() &&
           dynamic_cast<const Relu*>(&net.layer(i + 1)) != nullptr;
-      x = op.fuse_relu ? conv->infer_relu(x) : conv->infer(x);
+      x = op.fuse_relu ? conv->infer_relu(x, ws) : conv->infer(x, ws);
       i += op.fuse_relu ? 2 : 1;
       cur = observe(x);
       op.out_q = cur;
@@ -592,7 +593,7 @@ QuantizedNet::QuantizedNet(const Sequential& net, const Tensor& calibration) {
       op.width = x.extent(3);
       op.window = pool->window();
       op.in_q = op.out_q = cur;  // max() commutes with the monotone quant map
-      x = pool->infer(x);
+      x = pool->infer(x, ws);
       ++i;
       ops_.push_back(std::move(op));
     } else if (const auto* lin = dynamic_cast<const Linear*>(l)) {
@@ -609,14 +610,14 @@ QuantizedNet::QuantizedNet(const Sequential& net, const Tensor& calibration) {
       op.fuse_relu =
           i + 1 < net.size() &&
           dynamic_cast<const Relu*>(&net.layer(i + 1)) != nullptr;
-      x = op.fuse_relu ? lin->infer_relu(x) : lin->infer(x);
+      x = op.fuse_relu ? lin->infer_relu(x, ws) : lin->infer(x, ws);
       i += op.fuse_relu ? 2 : 1;
       cur = observe(x);
       op.out_q = cur;
       max_act_ = std::max(max_act_, op.out_features);
       ops_.push_back(std::move(op));
     } else if (dynamic_cast<const Flatten*>(l) != nullptr) {
-      x = l->infer(x);  // pure layout change: the u8 buffer is already flat
+      x = l->infer(x, ws);  // layout only: the u8 buffer is already flat
       ++i;
     } else if (dynamic_cast<const Dropout*>(l) != nullptr) {
       ++i;  // identity at inference
@@ -801,20 +802,6 @@ void QuantizedNet::run_sample(const float* in, float* probs_out) const {
     }
   }
   softmax_row(logits.data(), classes_, probs_out);
-}
-
-Tensor QuantizedNet::probabilities(const Tensor& input) const {
-  HSDL_CHECK_MSG(input.dim() >= 2 && input.numel() ==
-                     input.extent(0) * in_numel_,
-                 "input shape mismatch vs calibration: " << input.shape_str());
-  const std::size_t n = input.extent(0);
-  Tensor out({n, classes_});
-  HSDL_TRACE_SPAN("quant.infer");
-  hsdl::parallel_for(0, n, 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i)
-      run_sample(input.data() + i * in_numel_, out.data() + i * classes_);
-  });
-  return out;
 }
 
 Tensor QuantizedNet::probabilities(const Tensor& input,

@@ -63,10 +63,8 @@ class QuantizedNet {
   QuantizedNet(const Sequential& net, const Tensor& calibration);
 
   /// Softmax probabilities [N, classes] for a batch shaped like the
-  /// calibration input. Thread-safe; parallel over samples.
-  Tensor probabilities(const Tensor& input) const;
-  /// Same, with the output drawn from `ws` (internals use thread-local
-  /// scratch either way).
+  /// calibration input. Thread-safe; parallel over samples. The output
+  /// is drawn from `ws`; the int8 internals use thread-local scratch.
   Tensor probabilities(const Tensor& input, WorkspaceArena& ws) const;
 
   std::size_t num_quantized_layers() const;  ///< conv + linear count

@@ -27,10 +27,10 @@ Tensor Sequential::forward(const Tensor& input, bool train) {
 //                       still pays a full tensor copy)
 //   * Flatten        -> in-place reshape, stealing the owned buffer
 //                       instead of copying it
-// Reference mode (common/refmode.hpp) bypasses this and runs the
-// original one-layer-at-a-time loops.
-Tensor Sequential::fused_infer(const Tensor& input, std::size_t n_layers,
-                               WorkspaceArena* ws) const {
+// Reference mode (common/refmode.hpp) bypasses this in infer() and runs
+// the original one-layer-at-a-time loop.
+Tensor Sequential::infer_prefix(const Tensor& input, std::size_t n_layers,
+                                WorkspaceArena& ws) const {
   HSDL_CHECK_MSG(n_layers >= 1 && n_layers <= layers_.size(),
                  "bad layer prefix length");
   Tensor x;
@@ -49,16 +49,16 @@ Tensor Sequential::fused_infer(const Tensor& input, std::size_t n_layers,
     Tensor y;
     if (const auto* conv = dynamic_cast<const Conv2d*>(l);
         conv != nullptr && next_relu) {
-      y = ws != nullptr ? conv->infer_relu(*cur, *ws) : conv->infer_relu(*cur);
+      y = conv->infer_relu(*cur, ws);
       ++i;
     } else if (const auto* lin = dynamic_cast<const Linear*>(l);
                lin != nullptr && next_relu) {
-      y = ws != nullptr ? lin->infer_relu(*cur, *ws) : lin->infer_relu(*cur);
+      y = lin->infer_relu(*cur, ws);
       ++i;
     } else {
-      y = ws != nullptr ? l->infer(*cur, *ws) : l->infer(*cur);
+      y = l->infer(*cur, ws);
     }
-    if (owned && ws != nullptr) ws->recycle(std::move(x));
+    if (owned) ws.recycle(std::move(x));
     x = std::move(y);
     owned = true;
     cur = &x;
@@ -67,19 +67,10 @@ Tensor Sequential::fused_infer(const Tensor& input, std::size_t n_layers,
   return x;
 }
 
-Tensor Sequential::infer(const Tensor& input) const {
-  HSDL_CHECK_MSG(!layers_.empty(), "empty sequential");
-  if (!runtime::reference_mode())
-    return fused_infer(input, layers_.size(), nullptr);
-  Tensor x = input;
-  for (const auto& l : layers_) x = l->infer(x);
-  return x;
-}
-
 Tensor Sequential::infer(const Tensor& input, WorkspaceArena& ws) const {
   HSDL_CHECK_MSG(!layers_.empty(), "empty sequential");
   if (!runtime::reference_mode())
-    return fused_infer(input, layers_.size(), &ws);
+    return infer_prefix(input, layers_.size(), ws);
   Tensor x = layers_.front()->infer(input, ws);
   for (std::size_t i = 1; i < layers_.size(); ++i) {
     Tensor y = layers_[i]->infer(x, ws);
@@ -87,11 +78,6 @@ Tensor Sequential::infer(const Tensor& input, WorkspaceArena& ws) const {
     x = std::move(y);
   }
   return x;
-}
-
-Tensor Sequential::infer_prefix(const Tensor& input, std::size_t n_layers,
-                                WorkspaceArena& ws) const {
-  return fused_infer(input, n_layers, &ws);
 }
 
 Tensor Sequential::backward(const Tensor& grad_output) {

@@ -25,11 +25,11 @@ class Sequential final : public Layer {
 
   std::string name() const override { return "sequential"; }
   Tensor forward(const Tensor& input, bool train) override;
-  Tensor infer(const Tensor& input) const override;
-  /// Arena-backed inference: intermediates are recycled back into `ws` as
-  /// each layer consumes them, so a warm arena serves the whole chain with
-  /// zero heap allocations. The caller owns `input`; the returned tensor
-  /// is arena-pooled (recycle it when done).
+  /// Intermediates are recycled back into `ws` as each layer consumes
+  /// them, so a warm arena serves the whole chain with zero heap
+  /// allocations. The caller owns `input`; the returned tensor is
+  /// arena-pooled (recycle it when done). Runs the fused serving walk
+  /// (infer_prefix over every layer) unless reference mode is on.
   Tensor infer(const Tensor& input, WorkspaceArena& ws) const override;
   /// Runs only layers [0, n_layers) with the fused serving walk. The
   /// fused FC+softmax path (HotspotCnn) uses this to stop just before
@@ -53,9 +53,6 @@ class Sequential final : public Layer {
   std::size_t param_count();
 
  private:
-  Tensor fused_infer(const Tensor& input, std::size_t n_layers,
-                     WorkspaceArena* ws) const;
-
   std::vector<LayerPtr> layers_;
 };
 

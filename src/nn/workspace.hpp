@@ -4,9 +4,10 @@
 // forward passes so steady-state inference performs no heap allocations:
 // the first batch through a network grows the pool to the high-water
 // mark, and every subsequent batch of the same (or smaller) shape is
-// served entirely from recycled buffers. The arena-aware
-// Layer::infer(input, ws) overloads draw their outputs and im2col/col
-// scratch from the arena instead of constructing fresh Tensors.
+// served entirely from recycled buffers. Layer::infer(input, ws), the
+// one inference entry point, draws its outputs and im2col/col scratch
+// from the arena instead of constructing fresh Tensors; callers with no
+// long-lived arena make a local one.
 //
 // Contracts:
 //   * take() returns a tensor with UNSPECIFIED contents — callers must
@@ -18,9 +19,10 @@
 //   * An arena is single-owner: one thread calls take/recycle/scratch.
 //     Kernels may still parallel_for over disjoint slices of an
 //     arena-backed buffer — the arena itself is not touched from workers.
-//   * Numerics are untouched: arena-backed kernels run the exact same
-//     arithmetic in the exact same order as their allocating twins, so
-//     results stay bitwise identical (the determinism suite proves it).
+//   * Numerics are untouched: the arena decides only where outputs and
+//     scratch live, never the arithmetic or its order, so a warm arena
+//     and a fresh one give bitwise identical results (the determinism
+//     suite proves it).
 #pragma once
 
 #include <cstddef>

@@ -54,9 +54,17 @@ TEST(BenchmarkSpecTest, HotspotRichTestcaseHasHigherStress) {
             iccad_spec(1.0).generator.stress);
 }
 
+/// The iccad_spec(0.008) corpus (tiny but above the floor), built once on
+/// first use and shared: each build generates and litho-labels every
+/// clip, which dominates this suite's time.
+const layout::BenchmarkData& shared_corpus() {
+  static const layout::BenchmarkData data = build_benchmark(iccad_spec(0.008));
+  return data;
+}
+
 TEST(BuildBenchmarkTest, MeetsQuotasExactly) {
-  BenchmarkSpec spec = iccad_spec(0.008);  // tiny but above the floor
-  layout::BenchmarkData data = build_benchmark(spec);
+  BenchmarkSpec spec = iccad_spec(0.008);
+  const layout::BenchmarkData& data = shared_corpus();
   EXPECT_EQ(data.name, "ICCAD");
   EXPECT_EQ(data.train_hotspots(), spec.train_hotspots);
   EXPECT_EQ(data.train_non_hotspots(), spec.train_non_hotspots);
@@ -66,7 +74,7 @@ TEST(BuildBenchmarkTest, MeetsQuotasExactly) {
 
 TEST(BuildBenchmarkTest, LabelsAreResolvedAndCorrect) {
   BenchmarkSpec spec = iccad_spec(0.008);
-  layout::BenchmarkData data = build_benchmark(spec);
+  const layout::BenchmarkData& data = shared_corpus();
   litho::HotspotLabeler labeler(spec.litho);
   // Spot-check: stored labels must match fresh labeler output.
   for (std::size_t i = 0; i < data.train.size(); i += 37) {
@@ -77,7 +85,7 @@ TEST(BuildBenchmarkTest, LabelsAreResolvedAndCorrect) {
 
 TEST(BuildBenchmarkTest, DeterministicBySeed) {
   BenchmarkSpec spec = iccad_spec(0.008);
-  layout::BenchmarkData a = build_benchmark(spec);
+  const layout::BenchmarkData& a = shared_corpus();
   layout::BenchmarkData b = build_benchmark(spec);
   ASSERT_EQ(a.train.size(), b.train.size());
   for (std::size_t i = 0; i < a.train.size(); i += 17)
@@ -86,7 +94,7 @@ TEST(BuildBenchmarkTest, DeterministicBySeed) {
 
 TEST(BuildBenchmarkTest, DifferentSeedsDiffer) {
   BenchmarkSpec spec = iccad_spec(0.008);
-  layout::BenchmarkData a = build_benchmark(spec);
+  const layout::BenchmarkData& a = shared_corpus();
   spec.seed ^= 0xFFFF;
   layout::BenchmarkData c = build_benchmark(spec);
   EXPECT_NE(a.train[0].clip.shapes, c.train[0].clip.shapes);
@@ -94,7 +102,7 @@ TEST(BuildBenchmarkTest, DifferentSeedsDiffer) {
 
 TEST(BuildBenchmarkTest, ClipsHaveExpectedWindow) {
   BenchmarkSpec spec = iccad_spec(0.008);
-  layout::BenchmarkData data = build_benchmark(spec);
+  const layout::BenchmarkData& data = shared_corpus();
   for (const auto& lc : data.train) {
     EXPECT_EQ(lc.clip.window.width(), spec.generator.clip_size);
     EXPECT_EQ(lc.clip.window.height(), spec.generator.clip_size);

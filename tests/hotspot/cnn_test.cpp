@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "nn/workspace.hpp"
 
 namespace hsdl::hotspot {
 namespace {
@@ -46,7 +47,8 @@ TEST(HotspotCnnTest, ProbabilitiesAreDistribution) {
   cfg.fc_nodes = 16;
   HotspotCnn model(cfg);
   nn::Tensor x({3, 4, 4, 4}, 0.3f);
-  nn::Tensor p = model.probabilities(x);
+  nn::WorkspaceArena ws;
+  nn::Tensor p = model.probabilities(x, ws);
   EXPECT_EQ(p.shape(), (std::vector<std::size_t>{3, 2}));
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_NEAR(p.at(i, 0) + p.at(i, 1), 1.0f, 1e-5f);
@@ -65,8 +67,9 @@ TEST(HotspotCnnTest, InferenceDeterministic) {
   cfg.fc_nodes = 8;
   HotspotCnn model(cfg);
   nn::Tensor x({1, 2, 4, 4}, 0.5f);
-  nn::Tensor a = model.probabilities(x);
-  nn::Tensor b = model.probabilities(x);
+  nn::WorkspaceArena ws;
+  nn::Tensor a = model.probabilities(x, ws);
+  nn::Tensor b = model.probabilities(x, ws);
   EXPECT_FLOAT_EQ(a.at(0, 0), b.at(0, 0));
 }
 
@@ -95,11 +98,13 @@ TEST(HotspotCnnTest, SeedReproducesWeights) {
   cfg.seed = 99;
   HotspotCnn a(cfg), b(cfg);
   nn::Tensor x({1, 2, 4, 4}, 1.0f);
-  EXPECT_FLOAT_EQ(a.probabilities(x).at(0, 0),
-                  b.probabilities(x).at(0, 0));
+  nn::WorkspaceArena ws;
+  EXPECT_FLOAT_EQ(a.probabilities(x, ws).at(0, 0),
+                  b.probabilities(x, ws).at(0, 0));
   cfg.seed = 100;
   HotspotCnn c(cfg);
-  EXPECT_NE(a.probabilities(x).at(0, 0), c.probabilities(x).at(0, 0));
+  EXPECT_NE(a.probabilities(x, ws).at(0, 0),
+            c.probabilities(x, ws).at(0, 0));
 }
 
 TEST(HotspotCnnTest, ParamCountMatchesArchitecture) {

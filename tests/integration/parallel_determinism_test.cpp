@@ -24,6 +24,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/gemm.hpp"
 #include "nn/tensor.hpp"
+#include "nn/workspace.hpp"
 
 namespace hsdl {
 namespace {
@@ -126,7 +127,8 @@ TEST(ParallelDeterminismTest, Conv2dForwardBackwardMatchesSerial) {
     conv.zero_grad();
     const nn::Tensor out = conv.forward(x, /*train=*/true);
     const nn::Tensor gin = conv.backward(g);
-    const nn::Tensor inf = conv.infer(x);
+    nn::WorkspaceArena ws;
+    const nn::Tensor inf = conv.infer(x, ws);
     expect_bitwise_equal(out.vec(), inf.vec(), "conv infer vs forward");
     if (out_ref.empty()) {
       out_ref = out.vec();

@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/tensor.hpp"
+#include "nn/workspace.hpp"
 
 namespace hsdl::nn {
 namespace {
@@ -151,9 +152,10 @@ TEST(ConvDirectTest, Conv2dInferFastMatchesReferenceMode) {
   Tensor x({2, 3, 12, 12});
   for (std::size_t i = 0; i < x.numel(); ++i)
     x[i] = static_cast<float>(rng.normal());
-  Tensor fast = conv.infer(x);
+  WorkspaceArena ws;
+  Tensor fast = conv.infer(x, ws);
   runtime::ReferenceModeGuard guard(true);
-  Tensor ref = conv.infer(x);
+  Tensor ref = conv.infer(x, ws);
   ASSERT_EQ(fast.shape(), ref.shape());
   ASSERT_EQ(0, std::memcmp(fast.data(), ref.data(),
                            fast.numel() * sizeof(float)));
@@ -168,8 +170,9 @@ TEST(ConvDirectTest, Conv2dInferReluMatchesInferThenRelu) {
   Tensor x({3, 4, 10, 10});
   for (std::size_t i = 0; i < x.numel(); ++i)
     x[i] = static_cast<float>(rng.normal());
-  Tensor fused = conv.infer_relu(x);
-  Tensor plain = conv.infer(x);
+  WorkspaceArena ws;
+  Tensor fused = conv.infer_relu(x, ws);
+  Tensor plain = conv.infer(x, ws);
   for (std::size_t i = 0; i < plain.numel(); ++i)
     plain[i] = plain[i] > 0.0f ? plain[i] : 0.0f;
   ASSERT_EQ(fused.shape(), plain.shape());

@@ -16,6 +16,7 @@
 #include "nn/loss.hpp"
 #include "nn/pool.hpp"
 #include "nn/sequential.hpp"
+#include "nn/workspace.hpp"
 
 namespace hsdl::nn {
 namespace {
@@ -92,9 +93,10 @@ TEST(QuantizedNetTest, ProbabilitiesCloseToFp32) {
   EXPECT_EQ(qn.num_quantized_layers(), 3u);  // conv + 2 linears
 
   Tensor x = random_batch(8, rng);
-  Tensor probs = qn.probabilities(x);
+  WorkspaceArena ws;
+  Tensor probs = qn.probabilities(x, ws);
   ASSERT_EQ(probs.shape(), (std::vector<std::size_t>{8, 2}));
-  Tensor logits = net.infer(x);
+  Tensor logits = net.infer(x, ws);
   for (std::size_t i = 0; i < 8; ++i) {
     float ref[2];
     softmax_row(logits.data() + i * 2, 2, ref);
@@ -111,10 +113,11 @@ TEST(QuantizedNetTest, ScalarAndAvx2AreBitwiseIdentical) {
   Tensor cal = random_batch(12, rng);
   QuantizedNet qn(net, cal);
   Tensor x = random_batch(5, rng);
-  Tensor fast = qn.probabilities(x);
+  WorkspaceArena ws;
+  Tensor fast = qn.probabilities(x, ws);
   const bool prev = cpu::force_scalar();
   cpu::set_force_scalar(true);
-  Tensor scalar = qn.probabilities(x);
+  Tensor scalar = qn.probabilities(x, ws);
   cpu::set_force_scalar(prev);
   ASSERT_EQ(fast.shape(), scalar.shape());
   ASSERT_EQ(0, std::memcmp(fast.data(), scalar.data(),
@@ -127,10 +130,11 @@ TEST(QuantizedNetTest, ThreadCountDoesNotChangeResults) {
   Tensor cal = random_batch(12, rng);
   QuantizedNet qn(net, cal);
   Tensor x = random_batch(9, rng);
+  WorkspaceArena ws;
   set_num_threads(1);
-  Tensor serial = qn.probabilities(x);
+  Tensor serial = qn.probabilities(x, ws);
   set_num_threads(4);
-  Tensor parallel = qn.probabilities(x);
+  Tensor parallel = qn.probabilities(x, ws);
   set_num_threads(0);  // restore the default pool size
   ASSERT_EQ(serial.shape(), parallel.shape());
   ASSERT_EQ(0, std::memcmp(serial.data(), parallel.data(),
@@ -153,7 +157,8 @@ TEST(QuantizedNetTest, RejectsInputShapeMismatch) {
   Tensor cal = random_batch(4, rng);
   QuantizedNet qn(net, cal);
   Tensor bad({2, 2, 8, 7}, 0.0f);
-  EXPECT_THROW(qn.probabilities(bad), CheckError);
+  WorkspaceArena ws;
+  EXPECT_THROW(qn.probabilities(bad, ws), CheckError);
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
 // WorkspaceArena contracts: pooled tensors are recycled (smallest
 // adequate buffer first), scratch scopes rewind the cursor, stats track
-// the allocation/reuse split, and arena-backed inference is bitwise
-// identical to the allocating path.
+// the allocation/reuse split, and the fused arena inference walk is
+// bitwise identical to the unfused reference-mode walk.
 #include "nn/workspace.hpp"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "common/refmode.hpp"
 #include "common/rng.hpp"
+#include "hotspot/cnn.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/flatten.hpp"
@@ -113,7 +115,25 @@ std::vector<float> random_vec(std::size_t n, Rng& rng) {
   return v;
 }
 
-TEST(WorkspaceArenaTest, ArenaInferBitwiseMatchesAllocatingInfer) {
+// Layers start with zero biases; random ones make every bias epilogue
+// count in the comparisons below.
+void randomize_biases(Sequential& net, Rng& rng) {
+  for (Param* p : net.params())
+    if (p->name == "bias")
+      for (std::size_t i = 0; i < p->value.numel(); ++i)
+        p->value[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
+}
+
+void expect_bitwise_equal(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.shape(), b.shape());
+  for (std::size_t i = 0; i < a.numel(); ++i)
+    ASSERT_EQ(a.vec()[i], b.vec()[i]) << "element " << i;
+}
+
+// Every shape below stays under gemm's 48^3 naive cutoff, so the
+// reference walk's im2col + gemm and its Linear's cutoff dispatch both
+// run the naive kernel: the comparison is exact.
+TEST(WorkspaceArenaTest, FusedInferBitwiseMatchesReferenceWalk) {
   Rng init(5);
   Sequential net;
   Conv2dConfig conv;
@@ -126,21 +146,46 @@ TEST(WorkspaceArenaTest, ArenaInferBitwiseMatchesAllocatingInfer) {
   net.emplace<Linear>(3 * 4 * 4, 5, init);
 
   Rng rng(17);
+  randomize_biases(net, rng);
   WorkspaceArena ws;
   for (int round = 0; round < 3; ++round) {
     const Tensor x =
         Tensor::from_data({2, 2, 8, 8}, random_vec(2 * 2 * 8 * 8, rng));
-    const Tensor plain = net.infer(x);
-    Tensor pooled = net.infer(x, ws);
-    ASSERT_EQ(pooled.shape(), plain.shape());
-    for (std::size_t i = 0; i < plain.numel(); ++i)
-      ASSERT_EQ(pooled.vec()[i], plain.vec()[i]) << "element " << i;
-    ws.recycle(std::move(pooled));
+    Tensor fused = net.infer(x, ws);
+    Tensor reference;
+    {
+      runtime::ReferenceModeGuard guard(true);
+      reference = net.infer(x, ws);
+    }
+    expect_bitwise_equal(fused, reference);
+    ws.recycle(std::move(fused));
+    ws.recycle(std::move(reference));
   }
   // Warm arena: the later rounds were served entirely from the pool.
   const WorkspaceArena::Stats s = ws.stats();
   EXPECT_GT(s.reuses, 0u);
   EXPECT_GT(s.bytes_reserved, 0u);
+}
+
+// The FC+softmax fusion (walk to the last Linear, then infer_softmax)
+// against the unfused walk plus a separate softmax.
+TEST(WorkspaceArenaTest, FusedProbabilitiesMatchReferenceWalk) {
+  hotspot::HotspotCnnConfig cfg;
+  cfg.input_channels = 2;
+  cfg.input_side = 8;
+  cfg.stage1_maps = 3;
+  cfg.stage2_maps = 4;
+  cfg.fc_nodes = 6;
+  hotspot::HotspotCnn model(cfg);
+  Rng rng(23);
+  randomize_biases(model.net(), rng);
+  const Tensor x =
+      Tensor::from_data({3, 2, 8, 8}, random_vec(3 * 2 * 8 * 8, rng));
+  WorkspaceArena ws;
+  const Tensor fused = model.probabilities(x, ws);
+  runtime::ReferenceModeGuard guard(true);
+  const Tensor reference = model.probabilities(x, ws);
+  expect_bitwise_equal(fused, reference);
 }
 
 }  // namespace
