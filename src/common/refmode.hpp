@@ -9,9 +9,10 @@
 // pre-optimization serving pipeline. There is no separate oracle entry
 // point: the same calls (CnnDetector::predict_probability included) run
 // the reference kernels while the flag is on. Benchmarks use it to
-// measure the honest baseline; equivalence tests flip it to assert the
-// fast paths match (features: within float rounding, see
-// fte/feature_tensor.hpp).
+// measure the honest baseline; equivalence tests flip it to hold the
+// fast paths to it within float rounding: features (fte/feature_tensor.hpp)
+// and stride-1 convolution (nn/conv_direct.hpp, FMA against im2col's
+// separate multiply and add). Strided convs still match it bitwise.
 //
 // The flag is read per call with relaxed ordering: flip it only while no
 // inference is in flight (benchmarks and tests do so between phases).

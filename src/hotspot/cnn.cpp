@@ -63,8 +63,10 @@ nn::Tensor HotspotCnn::probabilities(const nn::Tensor& input,
                                      nn::WorkspaceArena& ws) const {
   // Fast path: run the fused walk up to (but not including) the final
   // Linear, then apply FC + softmax in one pass so the logits never
-  // round-trip through the arena. Bitwise identical to the unfused
-  // reference-mode walk below (shared softmax_row kernel).
+  // round-trip through the arena. Bitwise identical to walking each
+  // layer's infer outside reference mode and then softmax (shared
+  // softmax_row kernel); the reference-mode walk below also swaps in
+  // the im2col convs, so it agrees to float rounding only.
   if (!runtime::reference_mode() && net_.size() >= 2) {
     if (const auto* last =
             dynamic_cast<const nn::Linear*>(&net_.layer(net_.size() - 1))) {

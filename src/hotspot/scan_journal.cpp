@@ -12,7 +12,11 @@ namespace hsdl::hotspot {
 namespace {
 
 constexpr std::string_view kMagic = "HSDLSCNJ";
-constexpr std::uint32_t kVersion = 1;
+/// Version 2: fp32 numerics changed (the stride-1 convolution fuses each
+/// multiply-add), so probabilities journaled by a version 1 scan are not
+/// the bits this build would score. A version mismatch starts a fresh
+/// journal, which keeps a resumed scan equal to an uninterrupted one.
+constexpr std::uint32_t kVersion = 2;
 /// magic + version + flags + fingerprint, before the header CRC.
 constexpr std::size_t kHeaderBody = io::kFormatHeaderSize + 8;
 

@@ -24,7 +24,8 @@
 // chip extent), the layout source's content and the scoring model
 // (CnnDetector::model_fingerprint: weights, threshold, fp32/int8 mode),
 // so a journal is never replayed against a different grid, chip or
-// model.
+// model. The version moves when the kernels' numerics do (version 2:
+// the FMA convolution), and a journal of another version starts fresh.
 #pragma once
 
 #include <cstdint>

@@ -175,8 +175,9 @@ Tensor Conv2d::direct_infer(const Tensor& input, WorkspaceArena& ws,
       config_.in_channels * config_.kernel * config_.kernel;
 
   HSDL_TRACE_SPAN("conv2d.infer");
-  // Same multiply-add count as the im2col GEMM (modulo skipped zeros);
-  // keep the counter comparable across paths.
+  // Same multiply-add count as the im2col GEMM (the stride-1 kernel
+  // skips no zero weight; the strided body does); keep the counter
+  // comparable across paths.
   count_conv_flops(n, config_.out_channels, kk, oh * ow, /*passes=*/1);
   const ConvDirectShape ds{config_.in_channels, h,
                            w,                   config_.out_channels,

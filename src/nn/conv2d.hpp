@@ -2,8 +2,12 @@
 //
 // Training (forward/backward) uses im2col + GEMM, which it needs anyway
 // for the gradient GEMMs. Inference uses the direct kernels from
-// nn/conv_direct.hpp unless reference mode is on (common/refmode.hpp),
-// in which case it runs the original im2col + GEMM path.
+// nn/conv_direct.hpp — at stride 1 the FMA kernel, whose scalar and AVX2
+// paths agree bitwise — unless reference mode is on (common/refmode.hpp),
+// in which case it runs the original im2col + GEMM path. That path is
+// the tolerance oracle: at stride 1 it multiplies and adds separately, so
+// it (and training's forward, which runs it) matches infer() to float
+// rounding, not bitwise.
 //
 // Implements Equation (4) of the paper: each output map is the sum over
 // input channels of 2-D correlations with a kh x kw kernel, plus a bias.
@@ -35,8 +39,9 @@ class Conv2d final : public Layer {
   Tensor infer(const Tensor& input, WorkspaceArena& ws) const override;
 
   /// Fused conv + ReLU (direct kernel, no im2col): bitwise identical to
-  /// infer() followed by Relu::infer() — the ReLU predicate runs inside
-  /// the bias epilogue instead of a second pass over a temporary.
+  /// infer() followed by Relu::infer() outside reference mode — the ReLU
+  /// predicate runs inside the bias epilogue instead of a second pass
+  /// over a temporary.
   Tensor infer_relu(const Tensor& input, WorkspaceArena& ws) const;
 
   Tensor backward(const Tensor& grad_output) override;

@@ -1,6 +1,7 @@
 #include "nn/conv_direct.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -18,7 +19,7 @@ namespace {
 /// Output index range [*o0, *o1) for kernel offset `k_off` whose input
 /// index o*stride + k_off - padding lands inside [0, in_extent). Outputs
 /// outside this range would read padding (exact zeros), whose
-/// contribution is a bitwise no-op — see the header.
+/// contribution is a bitwise no-op — see conv_body_scalar.
 inline void valid_out_range(std::size_t out_extent, std::size_t in_extent,
                             std::size_t k_off, std::size_t stride,
                             std::size_t padding, std::size_t* o0,
@@ -56,29 +57,32 @@ inline void bias_relu_epilogue(float* HSDL_RESTRICT plane, std::size_t n,
 // ---------------------------------------------------------------------------
 // Stride-1 plane path.
 //
-// The generic body below updates each output row tap by tap, but serving
-// feature maps are narrow (12 wide): every row update is one partial
-// vector plus a scalar tail plus the valid-range bookkeeping, and that
-// overhead dominates the arithmetic. The stride-1 path instead copies the
-// input into an explicitly padded buffer and gives the accumulator plane
-// the SAME row stride pw as the padded input. Then one weight tap updates
-// the whole plane with a single contiguous axpy of oh*pw elements — long
+// Serving feature maps are narrow (12 wide), so per-row loops would be
+// dominated by partial vectors and bookkeeping. The stride-1 path instead
+// copies the input into an explicitly padded buffer and gives each
+// output channel's accumulator plane the SAME row stride pw as the padded
+// input. Then lane j of a plane reads tap (c, ky, kx) at pad offset
+// (c*ph + ky)*pw + kx + j: one contiguous sweep of n = oh*pw lanes, long
 // enough to vectorize cleanly. The k-1 lanes per row beyond ow accumulate
 // values no one reads (the epilogue copies only the first ow of each row)
-// and the axpy may read up to kernel-1 floats past the last input channel,
-// which the scratch buffer's slack absorbs.
+// and the sweep may read up to kernel-1 floats past the last input
+// channel, which the scratch buffer's slack absorbs. The AVX2 variant
+// rounds each channel plane up to whole 8-lane vectors (plane_lanes), so
+// up to 7 more lanes of garbage, and up to 7 more floats of over-read.
 //
-// Bitwise: each real output element still accumulates taps in ascending
-// p = (c, ky, kx) order with one multiply + one add per tap, now including
-// the padded positions' w * (+0.0) terms — exactly the products the
-// im2col + gemm_naive reference adds (its im2col buffer holds +0.0 for
-// padding, and it too skips zero weights).
+// Per-lane arithmetic, identical in both variants: acc = +0.0f, then
+// acc = fma(w, x, acc) for every tap in ascending (c, ky, kx) order —
+// padded positions and zero weights included. Only the grouping of lanes
+// and channels into registers differs between the variants, and that
+// grouping never reorders a lane's taps, so the two are bitwise equal.
 
-constexpr std::size_t kPadSlack = 16;  // >= kernel; covers the over-read
+constexpr std::size_t kPadSlack = 24;  // >= kernel + 7; covers the over-read
 
 struct Stride1Scratch {
   std::vector<float> pad;    ///< in_c x ph x pw (+ slack), borders +0.0
-  std::vector<float> plane;  ///< oh x pw accumulator, tail lanes garbage
+  /// oh x pw accumulators (AVX2: plane_lanes) per output channel (the
+  /// scalar path reuses one), tail lanes garbage
+  std::vector<float> plane;
 };
 
 Stride1Scratch& stride1_scratch() {
@@ -112,6 +116,10 @@ std::size_t fill_padded(const float* in, const ConvDirectShape& s,
   return pw;
 }
 
+/// Scalar twin of conv_plane_avx2: tap-outer, lane-inner, so each lane
+/// sees its taps in the kernel's order. Without -mfma std::fma is a libm
+/// call per tap and the lane loop does not vectorize: exact, but about
+/// 15x slower than a vectorized mul+add loop (DESIGN.md §12).
 void conv_plane_scalar(const float* HSDL_RESTRICT pad,
                        const float* HSDL_RESTRICT weight,
                        const float* HSDL_RESTRICT bias,
@@ -122,18 +130,17 @@ void conv_plane_scalar(const float* HSDL_RESTRICT pad,
   const std::size_t ph = s.height + 2 * s.padding;
   const std::size_t pw = s.width + 2 * s.padding;
   const std::size_t k = s.kernel;
-  const std::size_t kk = s.in_channels * k * k;
   const std::size_t n = oh * pw;
+  const float* HSDL_RESTRICT wt = weight;  // walks [out_c, in_c*k*k]
   for (std::size_t oc = 0; oc < s.out_channels; ++oc) {
     for (std::size_t j = 0; j < n; ++j) plane[j] = 0.0f;
-    const float* wrow = weight + oc * kk;
     for (std::size_t c = 0; c < s.in_channels; ++c) {
       for (std::size_t ky = 0; ky < k; ++ky) {
         for (std::size_t kx = 0; kx < k; ++kx) {
-          const float w = wrow[(c * k + ky) * k + kx];
-          if (w == 0.0f) continue;
+          const float w = *wt++;
           const float* HSDL_RESTRICT src = pad + (c * ph + ky) * pw + kx;
-          for (std::size_t j = 0; j < n; ++j) plane[j] += w * src[j];
+          for (std::size_t j = 0; j < n; ++j)
+            plane[j] = std::fma(w, src[j], plane[j]);
         }
       }
     }
@@ -154,85 +161,89 @@ void conv_plane_scalar(const float* HSDL_RESTRICT pad,
 }
 
 #ifdef HSDL_CONV_DIRECT_AVX2
-__attribute__((target("avx2"))) void conv_plane_avx2(
-    const float* HSDL_RESTRICT pad, const float* HSDL_RESTRICT weight,
-    const float* HSDL_RESTRICT bias, const ConvDirectShape& s,
-    bool fuse_relu, float* HSDL_RESTRICT plane, float* HSDL_RESTRICT out) {
+#define HSDL_AVX2_FMA __attribute__((target("avx2,fma")))
+
+/// oh*pw lanes rounded up to whole 8-lane vectors: the AVX2 plane stride.
+inline std::size_t plane_lanes(const ConvDirectShape& s) {
+  const std::size_t n = s.out_height() * (s.width + 2 * s.padding);
+  return (n + 7) / 8 * 8;
+}
+
+/// Plane geometry shared by the stride-1 blocks: `kk` = in_c*k*k floats
+/// per weight row, `n` = plane_lanes lanes (and floats) per channel plane.
+struct PlaneGeom {
+  std::size_t in_c, ph, pw, k, kk, n;
+};
+
+/// Lanes [j, j + 8V) of OC consecutive output channels (weight rows from
+/// `w`, planes from `plane`), in OC x V ymm accumulators: each source
+/// vector feeds OC fmadds.
+template <std::size_t OC, std::size_t V>
+HSDL_AVX2_FMA inline void fma_block(const float* HSDL_RESTRICT pad,
+                                    const float* HSDL_RESTRICT w,
+                                    const PlaneGeom& g, std::size_t j,
+                                    float* HSDL_RESTRICT plane) {
+  __m256 a[OC][V];
+  for (std::size_t o = 0; o < OC; ++o)
+    for (std::size_t v = 0; v < V; ++v) a[o][v] = _mm256_setzero_ps();
+  const float* wt = w;
+  for (std::size_t c = 0; c < g.in_c; ++c) {
+    for (std::size_t ky = 0; ky < g.k; ++ky) {
+      const float* HSDL_RESTRICT row = pad + (c * g.ph + ky) * g.pw + j;
+      for (std::size_t kx = 0; kx < g.k; ++kx, ++wt) {
+        __m256 x[V];
+        for (std::size_t v = 0; v < V; ++v)
+          x[v] = _mm256_loadu_ps(row + kx + 8 * v);
+        for (std::size_t o = 0; o < OC; ++o) {
+          const __m256 wv = _mm256_broadcast_ss(wt + o * g.kk);
+          for (std::size_t v = 0; v < V; ++v)
+            a[o][v] = _mm256_fmadd_ps(wv, x[v], a[o][v]);
+        }
+      }
+    }
+  }
+  for (std::size_t o = 0; o < OC; ++o)
+    for (std::size_t v = 0; v < V; ++v)
+      _mm256_storeu_ps(plane + o * g.n + j + 8 * v, a[o][v]);
+}
+
+/// All n lanes (a multiple of 8) of OC consecutive output channels:
+/// 16-lane blocks, then one 8-lane block.
+template <std::size_t OC>
+HSDL_AVX2_FMA inline void fma_channels(const float* HSDL_RESTRICT pad,
+                                       const float* HSDL_RESTRICT w,
+                                       const PlaneGeom& g,
+                                       float* HSDL_RESTRICT plane) {
+  std::size_t j = 0;
+  for (; j + 16 <= g.n; j += 16) fma_block<OC, 2>(pad, w, g, j, plane);
+  // The 12x12 layers' n = 12*14 = 168 leaves 8 lanes after the 16-lane
+  // blocks.
+  if (j < g.n) fma_block<OC, 1>(pad, w, g, j, plane);
+}
+
+HSDL_AVX2_FMA void conv_plane_avx2(const float* HSDL_RESTRICT pad,
+                                   const float* HSDL_RESTRICT weight,
+                                   const float* HSDL_RESTRICT bias,
+                                   const ConvDirectShape& s, bool fuse_relu,
+                                   float* HSDL_RESTRICT plane,
+                                   float* HSDL_RESTRICT out) {
   const std::size_t oh = s.out_height(), ow = s.out_width();
-  const std::size_t ph = s.height + 2 * s.padding;
   const std::size_t pw = s.width + 2 * s.padding;
-  const std::size_t k = s.kernel;
-  const std::size_t kk = s.in_channels * k * k;
-  const std::size_t n = oh * pw;
-  for (std::size_t oc = 0; oc < s.out_channels; ++oc) {
-    const float* wrow = weight + oc * kk;
-    // Register-blocked accumulation: each tile of output lanes walks the
-    // whole tap list with the partial sums held in ymm registers, so the
-    // plane is written exactly once per lane instead of re-loaded and
-    // re-stored for every tap. Per output lane the tap order and the
-    // separate multiply + add per tap are unchanged, so every lane rounds
-    // exactly like the tap-by-tap loop above.
-    std::size_t j = 0;
-    for (; j + 32 <= n; j += 32) {
-      __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
-      __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
-      for (std::size_t c = 0; c < s.in_channels; ++c) {
-        for (std::size_t ky = 0; ky < k; ++ky) {
-          const float* HSDL_RESTRICT row = pad + (c * ph + ky) * pw + j;
-          for (std::size_t kx = 0; kx < k; ++kx) {
-            const float w = wrow[(c * k + ky) * k + kx];
-            if (w == 0.0f) continue;
-            const float* HSDL_RESTRICT src = row + kx;
-            const __m256 wv = _mm256_set1_ps(w);
-            a0 = _mm256_add_ps(a0, _mm256_mul_ps(wv, _mm256_loadu_ps(src)));
-            a1 = _mm256_add_ps(a1,
-                               _mm256_mul_ps(wv, _mm256_loadu_ps(src + 8)));
-            a2 = _mm256_add_ps(a2,
-                               _mm256_mul_ps(wv, _mm256_loadu_ps(src + 16)));
-            a3 = _mm256_add_ps(a3,
-                               _mm256_mul_ps(wv, _mm256_loadu_ps(src + 24)));
-          }
-        }
-      }
-      _mm256_storeu_ps(plane + j, a0);
-      _mm256_storeu_ps(plane + j + 8, a1);
-      _mm256_storeu_ps(plane + j + 16, a2);
-      _mm256_storeu_ps(plane + j + 24, a3);
-    }
-    for (; j + 8 <= n; j += 8) {
-      __m256 a0 = _mm256_setzero_ps();
-      for (std::size_t c = 0; c < s.in_channels; ++c) {
-        for (std::size_t ky = 0; ky < k; ++ky) {
-          const float* HSDL_RESTRICT row = pad + (c * ph + ky) * pw + j;
-          for (std::size_t kx = 0; kx < k; ++kx) {
-            const float w = wrow[(c * k + ky) * k + kx];
-            if (w == 0.0f) continue;
-            const __m256 wv = _mm256_set1_ps(w);
-            a0 = _mm256_add_ps(a0,
-                               _mm256_mul_ps(wv, _mm256_loadu_ps(row + kx)));
-          }
-        }
-      }
-      _mm256_storeu_ps(plane + j, a0);
-    }
-    for (; j < n; ++j) {
-      float acc = 0.0f;
-      for (std::size_t c = 0; c < s.in_channels; ++c) {
-        for (std::size_t ky = 0; ky < k; ++ky) {
-          for (std::size_t kx = 0; kx < k; ++kx) {
-            const float w = wrow[(c * k + ky) * k + kx];
-            if (w == 0.0f) continue;
-            acc += w * pad[(c * ph + ky) * pw + kx + j];
-          }
-        }
-      }
-      plane[j] = acc;
-    }
+  const std::size_t n = plane_lanes(s);
+  const PlaneGeom g{s.in_channels, s.height + 2 * s.padding, pw, s.kernel,
+                    s.in_channels * s.kernel * s.kernel, n};
+  std::size_t oc = 0;
+  for (; oc + 4 <= s.out_channels; oc += 4)
+    fma_channels<4>(pad, weight + oc * g.kk, g, plane + oc * n);
+  for (; oc < s.out_channels; ++oc)
+    fma_channels<1>(pad, weight + oc * g.kk, g, plane + oc * n);
+
+  const __m256 zero = _mm256_setzero_ps();
+  for (oc = 0; oc < s.out_channels; ++oc) {
     const float b = bias[oc];
     const __m256 bv = _mm256_set1_ps(b);
-    const __m256 zero = _mm256_setzero_ps();
     for (std::size_t oy = 0; oy < oh; ++oy) {
-      const float* pr = plane + oy * pw;
+      const float* pr = plane + oc * n + oy * pw;
       float* orow = out + (oc * oh + oy) * ow;
       if (ow >= 8) {
         // Vector rows; a remainder re-runs one vector shifted to end at
@@ -263,7 +274,12 @@ __attribute__((target("avx2"))) void conv_plane_avx2(
 
 // Generic tap-accumulation body for strided convs. No model builds one
 // (HotspotCnn is stride 1), so it has no vector twin: every dispatch
-// path runs this scalar loop for stride != 1.
+// path runs this scalar loop for stride != 1. It multiplies and adds
+// separately in ascending (c, ky, kx) order and skips zero weights and
+// padded positions, like gemm_naive over im2col columns. The skips are
+// bitwise no-ops: a skipped term is w * 0.0 = ±0.0 or 0.0 * x = ±0.0, and
+// an accumulator that starts at +0.0 never becomes -0.0 under addition,
+// so adding ±0.0 never changes it.
 
 void conv_body_scalar(const float* HSDL_RESTRICT in,
                       const float* HSDL_RESTRICT weight,
@@ -324,8 +340,8 @@ void conv2d_direct(const float* in, const float* weight, const float* bias,
 #ifdef HSDL_CONV_DIRECT_AVX2
   if (cpu::has_avx2_fma() && shape.stride == 1) {
     Stride1Scratch& scratch = stride1_scratch();
-    const std::size_t pw = fill_padded(in, shape, &scratch.pad);
-    scratch.plane.resize(shape.out_height() * pw);
+    fill_padded(in, shape, &scratch.pad);
+    scratch.plane.resize(shape.out_channels * plane_lanes(shape));
     conv_plane_avx2(scratch.pad.data(), weight, bias, shape, fuse_relu,
                     scratch.plane.data(), out);
     return;

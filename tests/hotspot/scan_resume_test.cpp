@@ -2,7 +2,7 @@
 // injected band fault resumes from its journal and produces a report
 // bitwise identical to an uninterrupted scan; torn or corrupt journal
 // tails are truncated; a fingerprint mismatch — other geometry, other
-// model — starts fresh.
+// model — or an older journal version starts fresh.
 #include "hotspot/scan_journal.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 
 #include "common/check.hpp"
 #include "common/fault.hpp"
+#include "common/io.hpp"
 #include "hotspot/detector.hpp"
 #include "hotspot/engine/engine.hpp"
 #include "hotspot/scanner.hpp"
@@ -305,6 +306,37 @@ TEST(ScanResumeTest, FingerprintMismatchStartsFresh) {
   EXPECT_FALSE(other.resumed());
   EXPECT_EQ(other.bands(), 0u);
   other.remove();
+}
+
+TEST(ScanResumeTest, OlderJournalVersionStartsFresh) {
+  // Version 2 journals hold probabilities from the FMA convolution; a
+  // version 1 journal's bands came from the earlier mul+add kernel, and
+  // replaying them would mix two kernels' bits in one report. Same
+  // fingerprint, valid header CRC: only the version differs.
+  const std::string path = temp_path("hsdl_scan_journal_v1.journal");
+  std::filesystem::remove(path);
+  BandResult band;
+  band.band_index = 0;
+  band.windows = 1;
+  {
+    ScanJournal journal(path, 9);
+    journal.append(band);
+  }
+  ASSERT_TRUE(ScanJournal(path, 9).resumed());  // the unpatched control
+
+  io::ByteWriter header;
+  io::write_format_header(header, "HSDLSCNJ", /*version=*/1, /*flags=*/0);
+  header.u64(9);
+  header.u32(io::crc32(header.buffer()));
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.write(header.buffer().data(),
+            static_cast<std::streamsize>(header.size()));
+  }
+  ScanJournal journal(path, 9);
+  EXPECT_FALSE(journal.resumed());
+  EXPECT_EQ(journal.bands(), 0u);
+  journal.remove();
 }
 
 TEST(ScanResumeTest, FingerprintCoversGeometry) {
