@@ -1,7 +1,7 @@
 // Serving throughput: batched InferenceEngine vs the per-clip path,
 // plus the single-thread raw-speed ladder (im2col fp32 baseline vs the
-// direct-kernel fp32 path vs int8) that BENCH_serving.json's
-// "single_thread" section records.
+// direct-kernel fp32 path) that BENCH_serving.json's "single_thread"
+// section records.
 //
 // Scores the same clip stream three ways — (a) serial per-clip
 // predict_probability, (b) the engine at its default batch size, and
@@ -70,22 +70,21 @@ int main() {
   for (std::size_t i = 0; i < n_clips; ++i)
     clips.push_back(gen.generate().normalized());
 
-  hotspot::CnnDetector detector(serving_detector_config());
+  const hotspot::CnnDetector detector(serving_detector_config());
 
   // -- single-thread end-to-end latency: the raw-speed comparison.
-  // One thread, per-clip serving (feature extraction + forward), three
-  // models over the same window stream:
+  // One thread, per-clip serving (feature extraction + forward), two
+  // pipelines over the same window stream:
   //   baseline_im2col_fp32 — reference mode: the pre-optimization
   //                          pipeline (rasterize + per-block DCT,
   //                          im2col+GEMM conv, unfused layers);
   //   direct_fp32          — row-run slab extraction + direct/fused conv
-  //                          kernels;
-  //   int8                 — the quantized serving path on top of that.
+  //                          kernels.
   set_num_threads(1);
   const std::size_t n_st = smoke ? 24 : 96;
   const std::span<const layout::Clip> st_clips(clips.data(), n_st);
   // Best-of-N: single ~tens-of-ms passes swing 2x on a noisy shared
-  // host, and the ladder's whole point is comparing three variants of
+  // host, and the ladder's whole point is comparing two variants of
   // the same work. The minimum over repetitions is the least-disturbed
   // measurement of each.
   const std::size_t st_reps = smoke ? 3 : 7;
@@ -108,26 +107,13 @@ int main() {
     baseline_s = time_per_clip();
   }
   const double direct_s = time_per_clip();
-  {
-    std::vector<layout::LabeledClip> calibration(16);
-    for (std::size_t i = 0; i < calibration.size(); ++i) {
-      calibration[i].clip = clips[i];
-      calibration[i].label = layout::HotspotLabel::kNonHotspot;
-    }
-    detector.quantize(calibration);
-  }
-  const double int8_s = time_per_clip();
-  detector.set_use_quantized(false);  // fp32 for the engine sections below
   const double baseline_wps = static_cast<double>(n_st) / baseline_s;
   const double direct_wps = static_cast<double>(n_st) / direct_s;
-  const double int8_wps = static_cast<double>(n_st) / int8_s;
   std::printf(
       "  single-thread, %zu windows:\n"
       "    im2col fp32 (baseline) %7.1f win/s\n"
-      "    direct fp32            %7.1f win/s (%.2fx)\n"
-      "    int8                   %7.1f win/s (%.2fx)\n",
-      n_st, baseline_wps, direct_wps, direct_wps / baseline_wps, int8_wps,
-      int8_wps / baseline_wps);
+      "    direct fp32            %7.1f win/s (%.2fx)\n",
+      n_st, baseline_wps, direct_wps, direct_wps / baseline_wps);
   set_num_threads(threads);
 
   // Both sides of the headline ratio run best-of-N for the same reason
@@ -243,30 +229,6 @@ int main() {
   const hotspot::ScanReport engine_report =
       best_scan([&] { return scanner.scan(layout::FlatSource(chip), engine); });
 
-  // -- (d) engine on the int8 model: same stream, quantized serving.
-  // score_batch routes per call, so the already-running engine switches
-  // models with the flag. Integer accumulation is exact, so the batched
-  // result must equal the per-clip result bit for bit.
-  detector.set_use_quantized(true);
-  std::vector<double> int8_serial(clips.size());
-  for (std::size_t i = 0; i < clips.size(); ++i)
-    int8_serial[i] = detector.predict_probability(clips[i]);
-  engine.score(clips);  // warmup with the int8 model active
-  WallTimer int8_engine_timer;
-  const std::vector<double> int8_engine_probs = engine.score(clips);
-  const double int8_engine_s = int8_engine_timer.seconds();
-  const double int8_engine_cps = static_cast<double>(n_clips) / int8_engine_s;
-  detector.set_use_quantized(false);
-  for (std::size_t i = 0; i < n_clips; ++i) {
-    if (int8_engine_probs[i] != int8_serial[i]) {
-      std::fprintf(stderr,
-                   "FATAL: int8 engine diverges from serial at clip %zu\n",
-                   i);
-      return 1;
-    }
-  }
-  std::printf("  engine int8: %6.1f clips/s (%.3f s, %.2fx vs fp32 engine)\n",
-              int8_engine_cps, int8_engine_s, int8_engine_cps / engine_cps);
   std::printf(
       "  scan %zu windows: per-clip %6.1f win/s  engine %6.1f win/s "
       "(%.2fx)\n",
@@ -285,10 +247,7 @@ int main() {
      << ", \"windows_per_sec\": " << baseline_wps << "},\n"
      << "    \"direct_fp32\": {\"seconds\": " << direct_s
      << ", \"windows_per_sec\": " << direct_wps
-     << ", \"speedup_vs_baseline\": " << direct_wps / baseline_wps << "},\n"
-     << "    \"int8\": {\"seconds\": " << int8_s
-     << ", \"windows_per_sec\": " << int8_wps
-     << ", \"speedup_vs_baseline\": " << int8_wps / baseline_wps << "}}"
+     << ", \"speedup_vs_baseline\": " << direct_wps / baseline_wps << "}}"
      << ",\n  \"per_clip\": {\"seconds\": " << serial_s
      << ", \"clips_per_sec\": " << serial_cps << "},\n"
      << "  \"engine\": {\"seconds\": " << engine_s
@@ -302,9 +261,6 @@ int main() {
      << ", \"arena_allocations\": " << stats.arena_allocations
      << ", \"arena_reuses\": " << stats.arena_reuses
      << ", \"arena_bytes_reserved\": " << stats.arena_bytes_reserved
-     << "},\n  \"engine_int8\": {\"seconds\": " << int8_engine_s
-     << ", \"clips_per_sec\": " << int8_engine_cps
-     << ", \"speedup_vs_engine_fp32\": " << int8_engine_cps / engine_cps
      << "},\n  \"speedup\": " << engine_cps / serial_cps
      << ",\n  \"scan\": {\"windows\": " << engine_report.windows_scanned
      << ", \"per_clip_windows_per_sec\": "

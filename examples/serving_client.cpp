@@ -12,7 +12,7 @@
 //   serving_client --port 7433 --requests 40 --clips 4 --sample
 //
 // --sample turns on client-side tracing, so every request carries a
-// sampled trace id (v3 wire) and the server records its span tree;
+// sampled trace id on the wire and the server records its span tree;
 // --stats fetches the live hsdl-serve-stats-v1 snapshot afterwards,
 // strict-parses it with common/json and prints the headline counters.
 // Exits nonzero on any failed request or a malformed stats document.

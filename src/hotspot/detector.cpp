@@ -127,37 +127,12 @@ nn::ClassificationDataset CnnDetector::extract_dataset(
 BiasedLearningResult CnnDetector::train_on(
     const nn::ClassificationDataset& train_set,
     const nn::ClassificationDataset& val_set) {
-  quantized_.reset();  // stale against the new weights
-  use_quantized_ = false;
   BiasedLearner learner(config_.biased);
   return learner.train(model_, train_set, val_set, rng_);
 }
 
-void CnnDetector::quantize(
-    std::span<const layout::LabeledClip> calibration) {
-  HSDL_CHECK_MSG(!calibration.empty(),
-                 "quantize() needs a calibration split");
-  const std::vector<std::size_t> shape = model_.input_shape();
-  const std::size_t feat = shape[0] * shape[1] * shape[2];
-  nn::Tensor x({calibration.size(), shape[0], shape[1], shape[2]});
-  parallel_for(0, calibration.size(), 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i)
-      extractor_.extract_into(calibration[i].clip,
-                              std::span<float>(x.data() + i * feat, feat));
-  });
-  quantized_ = std::make_unique<nn::QuantizedNet>(model_.net(), x);
-  use_quantized_ = true;
-}
-
 nn::Tensor CnnDetector::score_batch(const nn::Tensor& x,
                                     nn::WorkspaceArena& ws) const {
-  return score_batch(x, ws, use_quantized());
-}
-
-nn::Tensor CnnDetector::score_batch(const nn::Tensor& x, nn::WorkspaceArena& ws,
-                                    bool quantized) const {
-  if (quantized && quantized_ != nullptr)
-    return quantized_->probabilities(x, ws);
   return model_.probabilities(x, ws);
 }
 
@@ -199,9 +174,7 @@ std::string CnnDetector::fingerprint() const {
   return os.str();
 }
 
-std::uint64_t CnnDetector::model_fingerprint(bool quantized) const {
-  // Same fallback as score_batch: int8 only when a quantized net exists.
-  const bool int8 = quantized && quantized_ != nullptr;
+std::uint64_t CnnDetector::model_fingerprint() const {
   io::ByteWriter w;
   w.str(fingerprint());
   // The raw weights, not serialize_params(): that container ends in a
@@ -211,8 +184,6 @@ std::uint64_t CnnDetector::model_fingerprint(bool quantized) const {
   for (const nn::Param* p : const_cast<HotspotCnn&>(model_).net().params())
     w.f32_array(p->value.data(), p->value.numel());
   w.f64(decision_threshold());
-  w.u8(int8 ? 1 : 0);
-  if (int8) w.u32(quantized_->fingerprint());
   return io::crc32(w.buffer());
 }
 
@@ -236,8 +207,6 @@ void CnnDetector::load(const std::string& path) {
                                       << "'");
   nn::deserialize_params(std::string_view(data).substr(nl + 1),
                          model_.net().params(), path);
-  quantized_.reset();  // calibrated against the previous weights
-  use_quantized_ = false;
 }
 
 void CnnDetector::update_online(
@@ -257,8 +226,6 @@ void CnnDetector::update_online(
                          fresh.count_label(kNonHotspotIndex) > 0;
   MgdTrainer trainer(cfg);
   trainer.train(model_, fresh, fresh, rng_);
-  quantized_.reset();  // calibrated against the pre-update weights
-  use_quantized_ = false;
 }
 
 bool CnnDetector::predict(const layout::Clip& clip) const {

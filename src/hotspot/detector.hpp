@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,7 +21,6 @@
 #include "hotspot/cnn.hpp"
 #include "hotspot/metrics.hpp"
 #include "layout/dataset.hpp"
-#include "nn/quant.hpp"
 
 namespace hsdl::hotspot {
 
@@ -136,34 +134,15 @@ class CnnDetector final : public Detector {
   const HotspotCnn& model() const { return model_; }
   const fte::FeatureTensorExtractor& extractor() const { return extractor_; }
 
-  /// Builds an int8 copy of the trained model, calibrating activation
-  /// scales on `calibration` (use the validation split — see DESIGN.md
-  /// §12), and enables it for serving. Training, online updates and
-  /// load() drop the quantized model (weights changed).
-  void quantize(std::span<const layout::LabeledClip> calibration);
-  /// Toggle between the int8 model (if built) and fp32 at serving time.
-  void set_use_quantized(bool on) { use_quantized_ = on; }
-  bool use_quantized() const { return use_quantized_ && quantized_ != nullptr; }
-  const nn::QuantizedNet* quantized_net() const { return quantized_.get(); }
-
-  /// Batched probabilities [N, 2] through the active serving model (int8
-  /// when enabled, fp32 otherwise). The inference engine and evaluate()
-  /// route through this, so quantization plugs into every serving path
-  /// without touching them.
+  /// Batched probabilities [N, 2] from the fp32 network. The inference
+  /// engine and evaluate() route through this.
   nn::Tensor score_batch(const nn::Tensor& x, nn::WorkspaceArena& ws) const;
-  /// As above with the serving path chosen by the caller instead of the
-  /// detector's toggle — the server's degraded engine pins int8 per
-  /// engine while the fp32 engine keeps serving other tenants. Falls
-  /// back to fp32 when no quantized net has been built.
-  nn::Tensor score_batch(const nn::Tensor& x, nn::WorkspaceArena& ws,
-                         bool quantized) const;
 
-  /// Identity of the model that score_batch(x, ws, quantized) runs: the
-  /// feature/architecture fingerprint, the fp32 weights, the decision
-  /// threshold and the scoring mode, plus the int8 net's weights and
-  /// scales when that mode is int8. Resumable scan state binds to it,
-  /// so results scored by one model are never merged into another's.
-  std::uint64_t model_fingerprint(bool quantized) const;
+  /// Identity of the model that score_batch runs: the feature/
+  /// architecture fingerprint, the weights and the decision threshold.
+  /// Resumable scan state binds to it, so results scored by one model
+  /// are never merged into another's.
+  std::uint64_t model_fingerprint() const;
 
   /// Saves the trained weights plus the feature/architecture fingerprint;
   /// load() verifies the fingerprint so a checkpoint cannot be restored
@@ -181,8 +160,6 @@ class CnnDetector final : public Detector {
   fte::FeatureTensorExtractor extractor_;
   HotspotCnn model_;
   Rng rng_;
-  std::unique_ptr<nn::QuantizedNet> quantized_;
-  bool use_quantized_ = false;
 };
 
 // ---------------------------------------------------------------------------

@@ -61,9 +61,6 @@ InferenceEngine::InferenceEngine(const CnnDetector& detector,
                                  const EngineConfig& config)
     : config_(config), detector_(&detector) {
   config_.validate();
-  HSDL_CHECK_MSG(!config_.quantized || detector.quantized_net() != nullptr,
-                 "engine config: quantized serving requires a quantized "
-                 "detector (call CnnDetector::quantize() first)");
   const fte::FeatureTensorConfig& f = detector.extractor().config();
   feat_ = f.coeffs * f.blocks_per_side * f.blocks_per_side;
   in_shape_ = detector.model().input_shape();
@@ -79,13 +76,9 @@ InferenceEngine::InferenceEngine(const CnnDetector& detector,
 InferenceEngine::~InferenceEngine() { shutdown(); }
 
 std::uint64_t InferenceEngine::model_fingerprint() const {
-  // The detector scores int8 only when a quantized net exists, so key
-  // the memo on the mode it actually runs.
-  const bool int8 = scores_quantized() && detector_->quantized_net() != nullptr;
   std::lock_guard<std::mutex> lk(fingerprint_mu_);
-  std::optional<std::uint64_t>& memo = model_fingerprint_[int8 ? 1 : 0];
-  if (!memo) memo = detector_->model_fingerprint(int8);
-  return *memo;
+  if (!model_fingerprint_) model_fingerprint_ = detector_->model_fingerprint();
+  return *model_fingerprint_;
 }
 
 std::vector<double> InferenceEngine::score(
@@ -351,10 +344,7 @@ void InferenceEngine::run_batch(FlushReason reason) {
     // keeps its capacity for the next batch.
     nn::Tensor x = nn::Tensor::from_data({n, in[0], in[1], in[2]},
                                          std::move(features_));
-    // score_batch routes to the active serving model: int8 when this
-    // engine is pinned quantized (the server's degraded engine) or the
-    // detector has its quantized net enabled, fp32 otherwise.
-    probs = detector_->score_batch(x, arena_, scores_quantized());
+    probs = detector_->score_batch(x, arena_);
     features_ = std::move(x.vec());
   }
   emit_batch_spans("engine.forward", fwd_begin_ns, trace::timestamp_ns(),

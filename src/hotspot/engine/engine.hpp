@@ -62,11 +62,6 @@ struct EngineConfig {
   /// Bounded request queue capacity; producers block when it is full
   /// (backpressure instead of unbounded memory growth).
   std::size_t queue_capacity = 1024;
-  /// Force every batch through the detector's int8 quantized net — the
-  /// server's degraded engine under sustained overload (DESIGN.md §14).
-  /// Requires CnnDetector::quantize() to have been called; the default
-  /// engine follows the detector's own use_quantized() toggle instead.
-  bool quantized = false;
 
   /// Rejects nonsense configurations (max_batch == 0, queue smaller
   /// than a batch) with a positioned error. The engine constructor
@@ -122,16 +117,10 @@ class InferenceEngine {
 
   const EngineConfig& config() const { return config_; }
   const CnnDetector& detector() const { return *detector_; }
-  /// True when batches are scored by the detector's int8 net: the
-  /// engine is pinned quantized or the detector's own toggle is on.
-  bool scores_quantized() const {
-    return config_.quantized || detector_->use_quantized();
-  }
   /// CnnDetector::model_fingerprint of the model this engine scores
-  /// with in its current mode. It hashes every weight, so it is
-  /// computed on first use and memoized per mode (fp32, int8) rather
-  /// than paid on every scan or at construction. Scan journals and
-  /// CellScanCache bindings key on it.
+  /// with. It hashes every weight, so it is computed on first use and
+  /// memoized rather than paid on every scan or at construction. Scan
+  /// journals and CellScanCache bindings key on it.
   std::uint64_t model_fingerprint() const;
 
   /// "No deadline" sentinel for the deadline parameters below.
@@ -271,9 +260,9 @@ class InferenceEngine {
   std::atomic<std::uint64_t> inline_batches_{0};
   std::atomic<std::uint64_t> deadline_expired_{0};
 
-  // model_fingerprint() memo, indexed by int8 mode.
+  // model_fingerprint() memo.
   mutable std::mutex fingerprint_mu_;
-  mutable std::optional<std::uint64_t> model_fingerprint_[2];
+  mutable std::optional<std::uint64_t> model_fingerprint_;
 
   // Single-worker collapse (fixed at construction). inline_mu_
   // serializes concurrent score() callers over the slab and the arena.

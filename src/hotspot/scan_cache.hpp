@@ -15,7 +15,7 @@
 // one (source, window size, model) combination only, so the first scan
 // that uses a cache binds it to that combination: the source's
 // fingerprint, the window size and the engine's model fingerprint
-// (weights, threshold, fp32/int8 mode). A scan under any other binding
+// (weights, threshold). A scan under any other binding
 // throws instead of replaying scores from the wrong model or chip;
 // clear() unbinds. Reusing one cache across scans of the same source
 // with the same model is the intended pattern.

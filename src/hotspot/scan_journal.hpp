@@ -22,7 +22,7 @@
 //
 // The fingerprint covers the scan geometry (window, stride, band rows,
 // chip extent), the layout source's content and the scoring model
-// (CnnDetector::model_fingerprint: weights, threshold, fp32/int8 mode),
+// (CnnDetector::model_fingerprint: weights, threshold),
 // so a journal is never replayed against a different grid, chip or
 // model. The version moves when the kernels' numerics do (version 2:
 // the FMA convolution), and a journal of another version starts fresh.

@@ -319,10 +319,9 @@ ScanReport ChipScanner::scan(const layout::LayoutSource& source,
                                              engine.model_fingerprint()));
 
   // Worker 0 scores on the caller's engine. Every further shard gets an
-  // engine of its own built like it (same detector, same config, so an
-  // int8-pinned engine shards in int8); the cache is the only state the
-  // shards share, and every value two of them could race to insert
-  // under one key is bitwise identical.
+  // engine of its own built like it (same detector, same config); the
+  // cache is the only state the shards share, and every value two of
+  // them could race to insert under one key is bitwise identical.
   std::vector<std::unique_ptr<InferenceEngine>> shard_engines;
   const auto make_scorer = [&](std::size_t worker) -> BandScorer {
     InferenceEngine* e = &engine;

@@ -134,7 +134,7 @@ class ChipScanner {
   ///
   /// With options.journal_path set, the journal fingerprints the scan
   /// geometry, the source's content and the engine's model (weights,
-  /// threshold, fp32/int8 mode): a journal left by a different scan is
+  /// threshold): a journal left by a different scan is
   /// discarded and every band rescanned.
   ///
   /// With options.shards > 1, bands are scored concurrently; shard 0

@@ -97,7 +97,6 @@ ScoreResponse ServeClient::score(std::span<const layout::Clip> clips,
                  "response covers " << response.hits.size() << " of "
                                     << clips.size() << " clips");
   model_generation_ = response.model_generation;
-  last_mode_ = response.mode;
   return response;
 }
 

@@ -86,9 +86,6 @@ class ServeClient {
   /// Lets tests assert span identity.
   std::uint64_t next_trace_id() const;
 
-  /// Serving path (fp32/int8) that scored the latest response.
-  ServeMode last_mode() const { return last_mode_; }
-
   /// Socket send/recv timeouts for this client (see Socket::set_timeouts).
   void set_timeouts(std::uint32_t recv_ms, std::uint32_t send_ms) {
     sock_.set_timeouts(recv_ms, send_ms);
@@ -142,7 +139,6 @@ class ServeClient {
   std::string buf_;
   std::uint64_t next_request_id_ = 1;
   std::uint64_t model_generation_ = 0;
-  ServeMode last_mode_ = ServeMode::kFp32;
   bool tracing_ = false;
 };
 

@@ -48,7 +48,6 @@ json::Value to_json(const FlightRecord& r) {
                      ? std::string("ok")
                      : std::string(error_code_name(
                            static_cast<ErrorCode>(r.error))));
-  v.set("mode", serve_mode_name(static_cast<ServeMode>(r.mode)));
   v.set("decode_ms", static_cast<double>(r.decode_ms));
   v.set("quota_ms", static_cast<double>(r.quota_ms));
   v.set("score_ms", static_cast<double>(r.score_ms));

@@ -1,8 +1,8 @@
 // Always-on flight recorder for the serving front-end (DESIGN.md §15).
 //
 // A FlightRecorder keeps the last N completed requests — tenant,
-// request id, clip count, deadline budget, outcome, serving mode and
-// per-stage wall times — in a fixed-size ring that is written on every
+// request id, clip count, deadline budget, outcome and per-stage wall
+// times — in a fixed-size ring that is written on every
 // request and read only when someone asks for a dump (SIGQUIT, a
 // session-fatal error, graceful drain). It answers the question the
 // live stats surface cannot: not "what is the p99" but "what were the
@@ -43,7 +43,6 @@ struct FlightRecord {
   std::uint32_t clips = 0;
   std::uint32_t deadline_ms = 0;  ///< wire budget (0 = none)
   std::uint8_t error = 0;         ///< 0 = ok, else ErrorCode
-  std::uint8_t mode = 0;          ///< ServeMode of the answer
   float decode_ms = 0.0f;
   float quota_ms = 0.0f;
   float score_ms = 0.0f;

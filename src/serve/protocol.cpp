@@ -74,16 +74,6 @@ const char* error_code_name(ErrorCode code) {
   return "unknown";
 }
 
-const char* serve_mode_name(ServeMode mode) {
-  switch (mode) {
-    case ServeMode::kFp32:
-      return "fp32";
-    case ServeMode::kInt8:
-      return "int8";
-  }
-  return "unknown";
-}
-
 std::string encode_frame(MsgType type, std::string_view body) {
   io::ByteWriter payload;
   payload.u8(static_cast<std::uint8_t>(type));
@@ -183,7 +173,6 @@ std::string encode_score_response(const ScoreResponse& m) {
   io::ByteWriter w;
   w.u64(m.request_id);
   w.u64(m.model_generation);
-  w.u8(static_cast<std::uint8_t>(m.mode));
   w.u32(static_cast<std::uint32_t>(m.hits.size()));
   for (const RankedHit& h : m.hits) {
     w.u32(h.index);
@@ -199,10 +188,6 @@ ScoreResponse decode_score_response(std::string_view body,
   ScoreResponse m;
   m.request_id = r.u64();
   m.model_generation = r.u64();
-  const std::uint8_t mode = r.u8();
-  if (mode > static_cast<std::uint8_t>(ServeMode::kInt8))
-    r.fail("unknown serve mode");
-  m.mode = static_cast<ServeMode>(mode);
   const std::uint32_t n = r.u32();
   if (static_cast<std::size_t>(n) * 13 > kMaxFrameBytes)
     r.fail("hit count exceeds frame capacity");

@@ -18,23 +18,25 @@
 // optional deadline budget, and a batch of clips — and receives one
 // ScoreResponse per request: every clip's (index, probability,
 // threshold-flagged) entry, ranked by probability descending (ties by
-// index), tagged with the generation of the model that scored it and
-// the serving mode (fp32 or the int8 degraded path) it was scored in.
+// index), tagged with the generation of the model that scored it.
 // SwapModel hot-swaps the served checkpoint; Error reports a rejected
 // request without closing the session (machine-readable code, optional
 // retry-after hint for kBusy load shedding); Bye closes it cleanly.
 //
 // Version 2 (reliability, DESIGN.md §14) added ScoreRequest.deadline_ms,
-// ScoreResponse.mode, ErrorMsg.retry_after_ms and the kBusy/kInternal
-// error codes.
+// ErrorMsg.retry_after_ms and the kBusy/kInternal error codes.
 //
-// Version 3 (observability, DESIGN.md §15) adds per-request trace
+// Version 3 (observability, DESIGN.md §15) added per-request trace
 // context — ScoreRequest carries a 64-bit trace id plus a sampling flag
 // between deadline_ms and the clip array — and the Stats message pair:
 // StatsRequest (empty body) answered by StatsResponse carrying a JSON
 // snapshot of the server's counters, stage histograms and per-tenant
-// totals. v3 is the only version spoken: a Hello offering any other
-// version is answered kBadVersion and the session closes.
+// totals.
+//
+// Version 4 drops the serving-mode byte from ScoreResponse: every
+// request is scored by the one fp32 network. v4 is the only version
+// spoken: a Hello offering any other version is answered kBadVersion
+// and the session closes.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +48,7 @@
 
 namespace hsdl::serve {
 
-inline constexpr std::uint32_t kProtocolVersion = 3;
+inline constexpr std::uint32_t kProtocolVersion = 4;
 /// Upper bound on a frame payload; a length field damaged upward is
 /// rejected before any allocation.
 inline constexpr std::size_t kMaxFrameBytes = 1u << 24;  // 16 MiB
@@ -81,12 +83,6 @@ enum class ErrorCode : std::uint8_t {
                        ///< non-finite score); the session stays usable
 };
 const char* error_code_name(ErrorCode code);
-
-/// Which serving path scored a request: fp32 is the default; int8 is
-/// the quantized degraded path the server switches eligible tenants to
-/// under sustained overload (DESIGN.md §14).
-enum class ServeMode : std::uint8_t { kFp32 = 0, kInt8 = 1 };
-const char* serve_mode_name(ServeMode mode);
 
 struct Hello {
   std::uint32_t version = kProtocolVersion;
@@ -128,9 +124,6 @@ struct ScoreResponse {
   /// One entry per request clip, ranked by probability descending
   /// (ties broken by ascending index).
   std::vector<RankedHit> hits;
-  /// Serving path that scored this request (fp32, or int8 when the
-  /// server degraded the tenant under overload).
-  ServeMode mode = ServeMode::kFp32;
 };
 
 struct SwapModel {

@@ -16,16 +16,6 @@ ServingModel::ServingModel(std::uint64_t generation, std::string source,
   HSDL_CHECK_MSG(detector_ != nullptr, "ServingModel needs a detector");
   engine_ = std::make_unique<hotspot::InferenceEngine>(*detector_,
                                                        engine_config);
-  // Degraded-path engine: same detector, pinned to the int8 net. Only
-  // models that were quantized before install get one — checkpoint
-  // loads drop the quantized net, so those serve fp32 even under
-  // overload.
-  if (detector_->quantized_net() != nullptr) {
-    hotspot::EngineConfig degraded = engine_config;
-    degraded.quantized = true;
-    degraded_engine_ =
-        std::make_unique<hotspot::InferenceEngine>(*detector_, degraded);
-  }
 }
 
 ModelRegistry::ModelRegistry(const hotspot::CnnDetectorConfig& config,

@@ -34,17 +34,11 @@ class ServingModel {
   const hotspot::CnnDetector& detector() const { return *detector_; }
   hotspot::InferenceEngine& engine() { return *engine_; }
 
-  /// Degraded int8 engine, built iff the detector carries a quantized
-  /// net (CnnDetector::quantize() ran before install). nullptr
-  /// otherwise — the server then keeps serving fp32 under overload.
-  hotspot::InferenceEngine* degraded_engine() { return degraded_engine_.get(); }
-
  private:
   std::uint64_t generation_;
   std::string source_;  // checkpoint path, or a caller-provided label
   std::unique_ptr<hotspot::CnnDetector> detector_;
   std::unique_ptr<hotspot::InferenceEngine> engine_;
-  std::unique_ptr<hotspot::InferenceEngine> degraded_engine_;
 };
 
 class ModelRegistry {

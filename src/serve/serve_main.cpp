@@ -64,9 +64,6 @@ void usage(const char* argv0) {
       "  --busy-max-clips <n>      in-flight clip ceiling before kBusy\n"
       "                            (must admit a maximal request)\n"
       "  --retry-after-ms <n>      back-off hint on kBusy (default 25)\n"
-      "  --degrade-after-ms <n>    sustained-shed window before int8\n"
-      "  --recover-after-ms <n>    shed-free window restoring fp32\n"
-      "  --no-degrade              never switch to the int8 path\n"
       "observability (DESIGN.md §15):\n"
       "  --stats-interval-ms <n>   enable metrics; append one stats JSON\n"
       "                            line per interval (0 = off)\n"
@@ -142,14 +139,6 @@ int main(int argc, char** argv) {
           static_cast<std::size_t>(std::atol(next()));
     } else if (arg == "--retry-after-ms") {
       serve_cfg.retry_after_ms = static_cast<std::uint32_t>(std::atol(next()));
-    } else if (arg == "--degrade-after-ms") {
-      serve_cfg.degrade_after_ms =
-          static_cast<std::uint32_t>(std::atol(next()));
-    } else if (arg == "--recover-after-ms") {
-      serve_cfg.recover_after_ms =
-          static_cast<std::uint32_t>(std::atol(next()));
-    } else if (arg == "--no-degrade") {
-      serve_cfg.degrade_to_int8 = false;
     } else if (arg == "--stats-interval-ms") {
       stats_interval_ms = static_cast<std::uint32_t>(std::atol(next()));
     } else if (arg == "--stats-jsonl") {
@@ -262,13 +251,11 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.errors_sent));
     std::printf(
         "hsdl_serve: reliability: %llu shed (%llu deadline), %llu "
-        "internal, %llu reaped, %llu degrades / %llu recoveries\n",
+        "internal, %llu reaped\n",
         static_cast<unsigned long long>(stats.busy_rejections),
         static_cast<unsigned long long>(stats.deadline_rejections),
         static_cast<unsigned long long>(stats.internal_errors),
-        static_cast<unsigned long long>(stats.sessions_reaped),
-        static_cast<unsigned long long>(stats.degrade_events),
-        static_cast<unsigned long long>(stats.recover_events));
+        static_cast<unsigned long long>(stats.sessions_reaped));
     if (hsdl::fault::armed())
       std::printf("hsdl_serve: chaos: %llu faults fired\n",
                   static_cast<unsigned long long>(hsdl::fault::total_fires()));

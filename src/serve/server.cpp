@@ -143,89 +143,16 @@ bool HotspotServer::begin_scoring(std::size_t clips) {
       scoring_inflight_.fetch_add(clips, std::memory_order_acq_rel);
   if (prior + clips <= config_.busy_max_inflight_clips) return true;
   scoring_inflight_.fetch_sub(clips, std::memory_order_acq_rel);
-  record_shed();
+  if (metrics::enabled()) {
+    static metrics::Counter& sheds = metrics::counter("serve.load_sheds");
+    sheds.increment();
+  }
   return false;
 }
 
 void HotspotServer::end_scoring(std::size_t clips) {
   if (config_.busy_max_inflight_clips == 0) return;
   scoring_inflight_.fetch_sub(clips, std::memory_order_acq_rel);
-}
-
-void HotspotServer::record_shed() {
-  const auto now = std::chrono::steady_clock::now();
-  bool degraded_now = false;
-  {
-    std::lock_guard<std::mutex> lk(pressure_mu_);
-    if (!pressure_.overloaded) {
-      pressure_.overloaded = true;
-      pressure_.overload_since = now;
-    }
-    pressure_.last_shed = now;
-    if (config_.degrade_to_int8 && !pressure_.degraded &&
-        now - pressure_.overload_since >=
-            std::chrono::milliseconds(config_.degrade_after_ms)) {
-      pressure_.degraded = true;
-      degraded_now = true;
-    }
-  }
-  if (metrics::enabled()) {
-    static metrics::Counter& sheds = metrics::counter("serve.load_sheds");
-    sheds.increment();
-  }
-  if (degraded_now) {
-    {
-      std::lock_guard<std::mutex> lk(stats_mu_);
-      ++stats_.degrade_events;
-      stats_.degraded = true;
-    }
-    if (metrics::enabled()) {
-      static metrics::Counter& degrades =
-          metrics::counter("serve.degrade_events");
-      static metrics::Gauge& degraded_g = metrics::gauge("serve.degraded");
-      degrades.increment();
-      degraded_g.set(1.0);
-    }
-    HSDL_LOG(kWarn) << "serve: sustained overload, degrading eligible "
-                       "tenants to the int8 path";
-  }
-}
-
-void HotspotServer::update_pressure_after_success() {
-  bool recovered = false;
-  {
-    std::lock_guard<std::mutex> lk(pressure_mu_);
-    if (!pressure_.overloaded) return;
-    const auto now = std::chrono::steady_clock::now();
-    if (now - pressure_.last_shed <
-        std::chrono::milliseconds(config_.recover_after_ms))
-      return;
-    pressure_.overloaded = false;
-    if (pressure_.degraded) {
-      pressure_.degraded = false;
-      recovered = true;
-    }
-  }
-  if (recovered) {
-    {
-      std::lock_guard<std::mutex> lk(stats_mu_);
-      ++stats_.recover_events;
-      stats_.degraded = false;
-    }
-    if (metrics::enabled()) {
-      static metrics::Counter& recovers =
-          metrics::counter("serve.recover_events");
-      static metrics::Gauge& degraded_g = metrics::gauge("serve.degraded");
-      recovers.increment();
-      degraded_g.set(0.0);
-    }
-    HSDL_LOG(kInfo) << "serve: overload cleared, restoring fp32 serving";
-  }
-}
-
-bool HotspotServer::degraded_mode() const {
-  std::lock_guard<std::mutex> lk(pressure_mu_);
-  return pressure_.degraded;
 }
 
 std::size_t HotspotServer::tenant_inflight(const std::string& tenant) const {
@@ -438,19 +365,13 @@ void HotspotServer::handle_score(Socket& sock, SessionCtx& ctx,
   ScoreResponse response;
   response.request_id = request.request_id;
   response.model_generation = model->generation();
-  const bool degraded =
-      degraded_mode() && model->degraded_engine() != nullptr;
-  response.mode = degraded ? ServeMode::kInt8 : ServeMode::kFp32;
-  flight.mode = static_cast<std::uint8_t>(response.mode);
   // Stage 3: score through the engine; a sampled request's id rides
   // into the micro-batcher and tags the queue-wait/extract/forward
   // spans there.
   std::vector<double> probs;
   stage.reset();
   try {
-    hotspot::InferenceEngine& engine =
-        degraded ? *model->degraded_engine() : model->engine();
-    probs = engine.score(request.clips, deadline, tid);
+    probs = model->engine().score(request.clips, deadline, tid);
   } catch (const hotspot::DeadlineExceeded& e) {
     end_scoring(n);
     quota.release();
@@ -503,7 +424,6 @@ void HotspotServer::handle_score(Socket& sock, SessionCtx& ctx,
   flight.rank_ms = static_cast<float>(stage.millis());
   if (tid != 0)
     trace::emit("serve.rank", rank_begin, trace::timestamp_ns(), tid);
-  update_pressure_after_success();
   quota.release();
   // Stage 5: send.
   const std::uint64_t send_begin = tid != 0 ? trace::timestamp_ns() : 0;
@@ -564,7 +484,6 @@ void HotspotServer::handle_score(Socket& sock, SessionCtx& ctx,
     rec.set("tenant", ctx.tenant);
     rec.set("clips", n);
     rec.set("generation", response.model_generation);
-    rec.set("mode", serve_mode_name(response.mode));
     rec.set("seconds", seconds);
     telemetry_.emit(rec);
   }
@@ -605,9 +524,6 @@ std::string HotspotServer::stats_json() const {
   server.set("deadline_rejections", s.deadline_rejections);
   server.set("internal_errors", s.internal_errors);
   server.set("sessions_reaped", s.sessions_reaped);
-  server.set("degrade_events", s.degrade_events);
-  server.set("recover_events", s.recover_events);
-  server.set("degraded", s.degraded);
   v.set("server", std::move(server));
   {
     json::Value tenants = json::Value::object();

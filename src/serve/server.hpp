@@ -25,9 +25,7 @@
 // one that expires before scoring is rejected kBusy without occupying
 // an engine slot, one that expires in the micro-batcher is dropped
 // there. A global in-flight clip ceiling sheds excess load with kBusy +
-// a retry-after hint; under sustained shedding the server degrades
-// eligible (quantized) models to the int8 engine and recovers once the
-// overload clears, reporting the serving mode in every response.
+// a retry-after hint; shedding is the whole overload policy.
 // Session socket timeouts reap stuck peers, freeing the worker and any
 // tenant quota they held. Engine-side failures (allocation failure,
 // non-finite score) answer kInternal and leave the session usable; a
@@ -91,15 +89,6 @@ struct ServeConfig {
   std::size_t busy_max_inflight_clips = 0;
   /// Back-off hint carried on kBusy responses (milliseconds).
   std::uint32_t retry_after_ms = 25;
-  /// Graceful degradation: under sustained shedding, switch models
-  /// that have an int8 quantized net to the degraded engine.
-  bool degrade_to_int8 = true;
-  /// Shedding must persist this long before degrading (0 = the first
-  /// shed degrades immediately) ...
-  std::uint32_t degrade_after_ms = 250;
-  /// ... and this much shed-free time ends the overload (and restores
-  /// fp32 when degraded).
-  std::uint32_t recover_after_ms = 1000;
   /// Flight recorder depth: the last N score requests (per server, all
   /// tenants) retained for post-mortem dumps. Always on; ~64 bytes per
   /// slot.
@@ -128,9 +117,6 @@ struct ServerStats {
   std::uint64_t internal_errors = 0;
   /// Stuck sessions reaped by the socket timeout watchdog.
   std::uint64_t sessions_reaped = 0;
-  std::uint64_t degrade_events = 0;  ///< fp32 -> int8 transitions
-  std::uint64_t recover_events = 0;  ///< int8 -> fp32 transitions
-  bool degraded = false;             ///< currently serving int8
 };
 
 class HotspotServer {
@@ -185,15 +171,6 @@ class HotspotServer {
     metrics::Counter* tenant_requests = nullptr;
     metrics::Counter* tenant_clips = nullptr;
   };
-  /// Overload tracker feeding graceful degradation (guarded by
-  /// pressure_mu_). `overloaded` spans from the first shed of a streak
-  /// until recover_after_ms passes without one.
-  struct Pressure {
-    std::chrono::steady_clock::time_point overload_since{};
-    std::chrono::steady_clock::time_point last_shed{};
-    bool overloaded = false;
-    bool degraded = false;
-  };
   /// Releases tenant quota exactly once on every exit path of
   /// handle_score.
   class QuotaGuard {
@@ -232,15 +209,10 @@ class HotspotServer {
   void send_busy(Socket& sock, const std::string& message, bool deadline);
 
   /// Reserves global scoring capacity for `clips` against
-  /// busy_max_inflight_clips. Returns false (and records the shed)
+  /// busy_max_inflight_clips. Returns false (and counts the shed)
   /// when the ceiling would be exceeded; always true when no ceiling.
   bool begin_scoring(std::size_t clips);
   void end_scoring(std::size_t clips);
-  void record_shed();
-  /// Ends the overload streak (recovering fp32 if degraded) once
-  /// recover_after_ms has passed without a shed.
-  void update_pressure_after_success();
-  bool degraded_mode() const;
 
   /// Blocks until the tenant has `clips` of budget or the server is
   /// stopping (returns false). Rejecting oversized requests is the
@@ -263,10 +235,8 @@ class HotspotServer {
   std::condition_variable quota_cv_;
   std::map<std::string, TenantBudget> tenants_;
 
-  // Load shedding + degradation state.
+  // Load shedding state.
   std::atomic<std::size_t> scoring_inflight_{0};
-  mutable std::mutex pressure_mu_;
-  Pressure pressure_;
 
   mutable std::mutex stats_mu_;
   ServerStats stats_;

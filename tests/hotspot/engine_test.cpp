@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -152,21 +153,35 @@ TEST(EngineTest, ScoreAfterShutdownThrows) {
 }
 
 TEST(EngineTest, MatchesSerialPerClipPathBitwise) {
-  const CnnDetector detector(small_config());
-  const std::vector<layout::Clip> clips = make_clips(9, 19);
-
-  std::vector<double> reference;
-  for (const layout::Clip& clip : clips)
-    reference.push_back(detector.predict_probability(clip));
-
+  // A score must not depend on the micro-batch a clip lands in: the
+  // small net across several 4-clip batches, and the paper's Table 1
+  // net (the default config) at engine batch sizes 1, 8 and 64.
+  struct Case {
+    CnnDetectorConfig detector;
+    std::size_t max_batch;
+  };
+  const Case cases[] = {{small_config(), 4},
+                        {CnnDetectorConfig{}, 1},
+                        {CnnDetectorConfig{}, 8},
+                        {CnnDetectorConfig{}, 64}};
+  const std::vector<layout::Clip> clips = make_clips(70, 19);
   ThreadCountGuard guard(2);
-  EngineConfig config;
-  config.max_batch = 4;  // forces 9 clips across multiple batches
-  InferenceEngine engine(detector, config);
-  const std::vector<double> probs = engine.score(clips);
-  ASSERT_EQ(probs.size(), reference.size());
-  for (std::size_t i = 0; i < probs.size(); ++i)
-    EXPECT_EQ(probs[i], reference[i]) << "clip " << i;  // bitwise
+  for (const Case& c : cases) {
+    const CnnDetector detector(c.detector);
+    SCOPED_TRACE("coeffs " + std::to_string(c.detector.feature.coeffs) +
+                 ", max_batch " + std::to_string(c.max_batch));
+    std::vector<double> reference;
+    for (const layout::Clip& clip : clips)
+      reference.push_back(detector.predict_probability(clip));
+
+    EngineConfig config;
+    config.max_batch = c.max_batch;
+    InferenceEngine engine(detector, config);
+    const std::vector<double> probs = engine.score(clips);
+    ASSERT_EQ(probs.size(), reference.size());
+    for (std::size_t i = 0; i < probs.size(); ++i)
+      EXPECT_EQ(probs[i], reference[i]) << "clip " << i;  // bitwise
+  }
 }
 
 TEST(EngineTest, ArenaAllocationsPlateauAcrossRepeatedBatches) {

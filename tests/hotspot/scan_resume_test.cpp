@@ -19,7 +19,6 @@
 #include "hotspot/detector.hpp"
 #include "hotspot/engine/engine.hpp"
 #include "hotspot/scanner.hpp"
-#include "layout/generator.hpp"
 
 namespace hsdl::hotspot {
 namespace {
@@ -180,7 +179,7 @@ TEST(ScanResumeTest, ResumeAcrossShardCountsIsBitwiseIdentical) {
     EXPECT_EQ(ScanJournal(path, ScanJournal::fingerprint(
                                     band_per_row_config(), chip.extent(),
                                     source.fingerprint(),
-                                    detector.model_fingerprint(false)))
+                                    detector.model_fingerprint()))
                   .bands(),
               2u);
 
@@ -193,33 +192,19 @@ TEST(ScanResumeTest, ResumeAcrossShardCountsIsBitwiseIdentical) {
   }
 }
 
-TEST(ScanResumeTest, ModelFingerprintCoversWeightsThresholdAndMode) {
+TEST(ScanResumeTest, ModelFingerprintCoversWeightsAndThreshold) {
   CnnDetector detector(small_config());
-  const std::uint64_t fp32 = detector.model_fingerprint(false);
+  const std::uint64_t fp32 = detector.model_fingerprint();
   // Deterministic for the same weights.
-  EXPECT_EQ(CnnDetector(small_config()).model_fingerprint(false), fp32);
+  EXPECT_EQ(CnnDetector(small_config()).model_fingerprint(), fp32);
 
   CnnDetectorConfig other_weights = small_config();
   other_weights.cnn.seed = 43;
-  EXPECT_NE(CnnDetector(other_weights).model_fingerprint(false), fp32);
-
-  // Without an int8 net, int8 scoring falls back to fp32 — and so does
-  // the fingerprint.
-  EXPECT_EQ(detector.model_fingerprint(true), fp32);
-  layout::ClipGenerator gen(layout::GeneratorConfig{}, 5);
-  std::vector<layout::LabeledClip> calibration;
-  for (int i = 0; i < 4; ++i)
-    calibration.push_back({gen.generate().normalized(),
-                           layout::HotspotLabel::kNonHotspot});
-  detector.quantize(calibration);
-  const std::uint64_t int8 = detector.model_fingerprint(true);
-  EXPECT_NE(int8, fp32);
-  EXPECT_EQ(detector.model_fingerprint(false), fp32);
+  EXPECT_NE(CnnDetector(other_weights).model_fingerprint(), fp32);
 
   // A moved decision boundary flags different windows.
   detector.set_shift(0.1);
-  EXPECT_NE(detector.model_fingerprint(false), fp32);
-  EXPECT_NE(detector.model_fingerprint(true), int8);
+  EXPECT_NE(detector.model_fingerprint(), fp32);
 }
 
 TEST(ScanResumeTest, JournalRoundTripAndTornTailTruncation) {

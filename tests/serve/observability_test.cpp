@@ -242,10 +242,10 @@ TEST_F(ObservabilityTest, OtherProtocolVersionsRejectedWithBadVersion) {
   registry.install(make_detector(1), "gen1");
   HotspotServer server(registry, ServeConfig{});
 
-  // A v2 client (no trace context on the wire), an older one and a
-  // newer one are each answered kBadVersion; only the current version
-  // is spoken.
-  for (const std::uint32_t version : {1u, 2u, kProtocolVersion + 1}) {
+  // A v3 client (a mode byte in every response), a v2 one (no trace
+  // context on the wire), an older one and a newer one are each
+  // answered kBadVersion; only the current version is spoken.
+  for (const std::uint32_t version : {1u, 2u, 3u, kProtocolVersion + 1}) {
     Socket sock = Socket::connect("127.0.0.1", server.port());
     std::string buf;
     Hello hello;

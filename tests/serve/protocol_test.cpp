@@ -105,14 +105,12 @@ TEST(ProtocolTest, ScoreResponseRoundTrips) {
   response.request_id = 7;
   response.model_generation = 3;
   response.hits = {{1, 0.9, true}, {0, 0.25, false}};
-  response.mode = ServeMode::kInt8;
   const std::string frame =
       encode_frame(MsgType::kScoreResponse, encode_score_response(response));
   const Frame decoded = decode_frame(frame, "test");
   const ScoreResponse out = decode_score_response(decoded.body, "test");
   EXPECT_EQ(out.request_id, 7u);
   EXPECT_EQ(out.model_generation, 3u);
-  EXPECT_EQ(out.mode, ServeMode::kInt8);
   ASSERT_EQ(out.hits.size(), 2u);
   EXPECT_EQ(out.hits[0].index, 1u);
   EXPECT_EQ(out.hits[0].probability, 0.9);
@@ -168,16 +166,6 @@ TEST(ProtocolTest, RankHitsSortsByProbabilityThenIndex) {
   EXPECT_FALSE(hits[3].flagged);
   for (std::size_t i = 1; i < hits.size(); ++i)
     EXPECT_GE(hits[i - 1].probability, hits[i].probability);
-}
-
-TEST(ProtocolTest, DecodeRejectsUnknownServeMode) {
-  ScoreResponse response;
-  response.request_id = 1;
-  std::string body = encode_score_response(response);
-  body[16] = 2;  // mode byte follows the two u64s; only 0/1 are defined
-  EXPECT_THROW(decode_score_response(body, "test"), CheckError);
-  EXPECT_STREQ(serve_mode_name(ServeMode::kFp32), "fp32");
-  EXPECT_STREQ(serve_mode_name(ServeMode::kInt8), "int8");
 }
 
 TEST(ProtocolTest, DecodeRejectsTrailingGarbage) {

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,44 +67,70 @@ std::unique_ptr<hotspot::CnnDetector> make_detector(std::uint64_t seed) {
 }
 
 TEST(ServerTest, ConcurrentClientsMatchSerialOracleBitwise) {
-  ModelRegistry registry(small_config(), hotspot::EngineConfig{});
-  registry.install(make_detector(1), "gen1");
-  const std::shared_ptr<ServingModel> oracle = registry.acquire();
-
-  ServeConfig config;
-  config.session_workers = 4;
-  HotspotServer server(registry, config);
-
+  // Concurrent 8-clip requests land in micro-batches of varying size and
+  // composition; every response must still equal the per-clip
+  // predict_probability oracle bitwise. The small net runs at the
+  // default engine config, the paper's Table 1 net (the default
+  // detector config) at engine batch sizes 1, 8 and 64.
+  struct Case {
+    hotspot::CnnDetectorConfig detector;
+    std::size_t max_batch;
+  };
+  const Case cases[] = {{small_config(), hotspot::EngineConfig{}.max_batch},
+                        {hotspot::CnnDetectorConfig{}, 1},
+                        {hotspot::CnnDetectorConfig{}, 8},
+                        {hotspot::CnnDetectorConfig{}, 64}};
   constexpr std::size_t kClients = 4;
+  constexpr std::size_t kRequests = 2;
+  constexpr std::size_t kClipsPerRequest = 8;
   std::vector<std::vector<layout::Clip>> inputs;
   for (std::size_t c = 0; c < kClients; ++c)
-    inputs.push_back(make_clips(6, 100 + c));
+    inputs.push_back(make_clips(kRequests * kClipsPerRequest, 100 + c));
 
-  std::vector<std::vector<double>> outputs(kClients);
-  std::vector<std::thread> clients;
-  for (std::size_t c = 0; c < kClients; ++c)
-    clients.emplace_back([&, c] {
-      ServeClient client("127.0.0.1", server.port(),
-                         "tenant-" + std::to_string(c));
-      outputs[c] = client.score_probabilities(inputs[c]);
-      client.bye();
-    });
-  for (std::thread& t : clients) t.join();
+  for (const Case& k : cases) {
+    SCOPED_TRACE("coeffs " + std::to_string(k.detector.feature.coeffs) +
+                 ", max_batch " + std::to_string(k.max_batch));
+    hotspot::EngineConfig engine_config;
+    engine_config.max_batch = k.max_batch;
+    ModelRegistry registry(k.detector, engine_config);
+    registry.install(std::make_unique<hotspot::CnnDetector>(k.detector),
+                     "gen1");
+    const std::shared_ptr<ServingModel> oracle = registry.acquire();
 
-  for (std::size_t c = 0; c < kClients; ++c) {
-    const std::vector<double> expected =
-        oracle->detector().predict_probabilities(inputs[c]);
-    ASSERT_EQ(outputs[c].size(), expected.size()) << "client " << c;
-    for (std::size_t i = 0; i < expected.size(); ++i)
-      EXPECT_EQ(outputs[c][i], expected[i])  // bitwise
-          << "client " << c << " clip " << i;
+    ServeConfig config;
+    config.session_workers = 4;
+    HotspotServer server(registry, config);
+
+    std::vector<std::vector<double>> outputs(kClients);
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kClients; ++c)
+      clients.emplace_back([&, c] {
+        ServeClient client("127.0.0.1", server.port(),
+                           "tenant-" + std::to_string(c));
+        for (std::size_t r = 0; r < kRequests; ++r) {
+          const std::vector<double> p =
+              client.score_probabilities(std::span<const layout::Clip>(
+                  inputs[c].data() + r * kClipsPerRequest, kClipsPerRequest));
+          outputs[c].insert(outputs[c].end(), p.begin(), p.end());
+        }
+        client.bye();
+      });
+    for (std::thread& t : clients) t.join();
+
+    for (std::size_t c = 0; c < kClients; ++c) {
+      ASSERT_EQ(outputs[c].size(), inputs[c].size()) << "client " << c;
+      for (std::size_t i = 0; i < inputs[c].size(); ++i)
+        EXPECT_EQ(outputs[c][i],
+                  oracle->detector().predict_probability(inputs[c][i]))
+            << "client " << c << " clip " << i;  // bitwise
+    }
+    server.shutdown();
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.sessions_accepted, kClients);
+    EXPECT_EQ(stats.requests_served, kClients * kRequests);
+    EXPECT_EQ(stats.clips_scored, kClients * kRequests * kClipsPerRequest);
+    EXPECT_EQ(stats.errors_sent, 0u);
   }
-  server.shutdown();
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.sessions_accepted, kClients);
-  EXPECT_EQ(stats.requests_served, kClients);
-  EXPECT_EQ(stats.clips_scored, kClients * 6u);
-  EXPECT_EQ(stats.errors_sent, 0u);
 }
 
 TEST(ServerTest, ResponsesArriveRankedByProbability) {
